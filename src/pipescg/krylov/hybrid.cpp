@@ -14,8 +14,8 @@ SolveStats HybridSolver::solve(Engine& engine, const Vec& b, Vec& x,
   SolverOptions phase1 = opts;
   phase1.detect_stagnation = true;
   if (phase1.replacement_period == 0) phase1.replacement_period = 4;
-  SolveStats stats =
-      sstep::pipe_pscg_core(engine, b, x, phase1, opts.s, name());
+  SolveStats stats = sstep::pipelined_core(
+      engine, b, x, phase1, name(), {opts.s, /*preconditioned=*/true});
   if (stats.converged || stats.iterations >= opts.max_iterations) {
     stats.method = name();
     return stats;

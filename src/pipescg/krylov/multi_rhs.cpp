@@ -24,29 +24,20 @@ std::size_t max_batch_columns(int s, bool shifted_basis) {
 
 namespace {
 
-// Everything one right-hand side carries through the lockstep loop.  The
-// blocks mirror ScgSspmvSolver::solve exactly; only the dot batches are
-// shared with the other columns.
+// Everything one right-hand side carries through the lockstep loop: the
+// same sstep::ScgColumn ScgSspmvSolver runs, plus its stats and its slice
+// of the fused batch.  Only the dot batches are shared with the other
+// columns.
 struct Column {
-  Column(Engine& engine, int s)
-      : basis(engine.new_block(static_cast<std::size_t>(s) + 1)),
-        basis_next(engine.new_block(static_cast<std::size_t>(s) + 1)),
-        p_prev(engine.new_block(static_cast<std::size_t>(s))),
-        p_cur(engine.new_block(static_cast<std::size_t>(s))),
-        ap_prev(engine.new_block(static_cast<std::size_t>(s))),
-        ap_cur(engine.new_block(static_cast<std::size_t>(s))),
-        scalar_work(s) {}
+  Column(Engine& engine, const ShiftedBasis& basis)
+      : sys(engine, basis) {}
 
-  VecBlock basis, basis_next;
-  VecBlock p_prev, p_cur;
-  VecBlock ap_prev, ap_cur;
-  ScalarWork scalar_work;
+  sstep::ScgColumn sys;
   SolveStats stats;
   std::vector<double> values;  // this column's slice of the fused batch
   double tol = 0.0;
   double rnorm = 0.0;
   std::size_t iterations = 0;
-  std::size_t outer = 0;
   bool active = true;
 };
 
@@ -81,12 +72,10 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
   std::vector<Column> cols;
   cols.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
-    cols.emplace_back(engine, s);
+    cols.emplace_back(engine, sbasis);
     cols[i].stats.method = "scg-sspmv";
     cols[i].stats.final_s = s;
-    cols[i].stats.basis = to_string(basis_spec.type);
-    cols[i].stats.basis_lambda_min = basis_spec.lambda_min;
-    cols[i].stats.basis_lambda_max = basis_spec.lambda_max;
+    record_basis(cols[i].stats, basis_spec);
     cols[i].values.assign(layout.total(), 0.0);
   }
   Vec scratch = engine.new_vec();
@@ -119,20 +108,8 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
   }
 
   // --- initial residual and power basis per column ------------------------
-  for (std::size_t i = 0; i < k; ++i) {
-    Column& c = cols[i];
-    {
-      Vec ax = engine.new_vec();
-      engine.apply_op(xs[i], ax);
-      engine.waxpy(c.basis[0], -1.0, ax, bs[i]);
-    }
-    if (shifted)
-      extend_chain(engine, sbasis, ChainView{&c.basis, nullptr}, 1, su,
-                   scratch);
-    else
-      engine.apply_op_powers(c.basis[0],
-                             std::span<Vec>(c.basis.data() + 1, su));
-  }
+  for (std::size_t i = 0; i < k; ++i)
+    cols[i].sys.start(engine, bs[i], xs[i], scratch);
 
   // Fused dot batch across the active columns: each contributes its full
   // DotLayout slice contiguously, so scattering the reduced payload back is
@@ -147,12 +124,7 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
     batch_order.clear();
     for (Column& c : cols) {
       if (!c.active) continue;
-      if (shifted)
-        build_gram_dot_pairs(next_basis ? c.basis_next : c.basis, c.ap_cur,
-                             col_pairs);
-      else
-        build_dot_pairs(next_basis ? c.basis_next : c.basis, c.ap_cur,
-                        col_pairs);
+      c.sys.dot_pairs(layout, next_basis, col_pairs);
       fused.insert(fused.end(), col_pairs.begin(), col_pairs.end());
       batch_order.push_back(&c);
     }
@@ -169,10 +141,13 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
     }
   };
 
+  // Checkpoints carry the column index, so per-column observers (the
+  // anomaly stall windows) never mix the k interleaved residual streams.
   reduce_active(/*next_basis=*/false);
-  for (Column& c : cols) {
-    c.rnorm = std::sqrt(std::max(layout.norm_sq(c.values, opts.norm), 0.0));
-    if (!detail::checkpoint(c.stats, opts, 0, c.rnorm)) {
+  for (std::size_t i = 0; i < k; ++i) {
+    Column& c = cols[i];
+    c.rnorm = layout.norm(c.values, opts.norm);
+    if (!detail::checkpoint(c.stats, opts, 0, c.rnorm, i)) {
       c.active = false;  // non-finite initial batch: frozen, breakdown set
       continue;
     }
@@ -190,17 +165,8 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
     for (std::size_t i = 0; i < k; ++i) {
       Column& c = cols[i];
       if (!c.active) continue;
-      const la::DenseMatrix cross = layout.cross(c.values);
-      ScalarWork::Result sw =
-          shifted ? c.scalar_work.step_gram(
-                        sbasis,
-                        std::span<const double>(c.values.data(),
-                                                layout.tri_count()),
-                        cross)
-                  : c.scalar_work.step(
-                        std::span<const double>(c.values.data(),
-                                                layout.moment_count()),
-                        cross);
+      const ScalarWork::Result sw =
+          c.sys.scalar_work.step(layout, c.values, &sbasis);
       if (!sw.ok) {
         // No rollback in the batched driver: freeze this column with the
         // failure flagged and keep the others iterating.
@@ -210,41 +176,17 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
         c.active = false;
         continue;
       }
-
-      // Direction block and AQ/AP recurrence (paper Alg. 4 lines 9-11).
-      copy_block(engine, c.basis, c.p_cur, su);
-      for (std::size_t j = 0; j < su; ++j) {
-        if (shifted)
-          combine_chain(engine, sbasis.seed(0, static_cast<int>(j)),
-                        ChainView{&c.basis, nullptr}, c.ap_cur[j]);
-        else
-          engine.copy(c.basis[j + 1], c.ap_cur[j]);
-      }
-      if (c.outer > 0) {
-        engine.block_maxpy(c.p_cur, c.p_prev, sw.b);
-        engine.block_maxpy(c.ap_cur, c.ap_prev, sw.b);
-      }
-
-      // x and the recurred residual (Alg. 4 lines 12-13), then the basis
-      // rebuild: s SPMVs, one halo epoch when an MPK is attached.
-      engine.block_axpy(xs[i], c.p_cur, sw.alpha);
-      engine.block_combine(c.basis_next[0], c.basis[0], c.ap_cur, sw.alpha);
-      if (shifted)
-        extend_chain(engine, sbasis, ChainView{&c.basis_next, nullptr}, 1, su,
-                     scratch);
-      else
-        engine.apply_op_powers(c.basis_next[0],
-                               std::span<Vec>(c.basis_next.data() + 1, su));
+      c.sys.step(engine, sw, bs[i], xs[i], /*replace=*/false, scratch);
     }
 
     reduce_active(/*next_basis=*/true);
 
-    for (Column& c : cols) {
+    for (std::size_t i = 0; i < k; ++i) {
+      Column& c = cols[i];
       if (!c.active) continue;
       c.iterations += su;
-      ++c.outer;
-      c.rnorm = std::sqrt(std::max(layout.norm_sq(c.values, opts.norm), 0.0));
-      if (!detail::checkpoint(c.stats, opts, c.iterations, c.rnorm)) {
+      c.rnorm = layout.norm(c.values, opts.norm);
+      if (!detail::checkpoint(c.stats, opts, c.iterations, c.rnorm, i)) {
         c.stats.stagnated = true;
         c.active = false;
         continue;
@@ -254,9 +196,7 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
         c.active = false;
         continue;
       }
-      std::swap(c.basis, c.basis_next);
-      std::swap(c.p_prev, c.p_cur);
-      std::swap(c.ap_prev, c.ap_cur);
+      c.sys.advance();
     }
   }
 

@@ -1,14 +1,9 @@
 #include "pipescg/krylov/pipe_pscg.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <utility>
 
-#include "pipescg/base/error.hpp"
-#include "pipescg/fault/recovery.hpp"
 #include "pipescg/krylov/sstep_common.hpp"
-#include "pipescg/obs/profiler.hpp"
 
 namespace pipescg::krylov {
 namespace sstep {
@@ -36,128 +31,121 @@ void extend_power_chain(Engine& engine, const Vec& seed, std::span<Vec> w,
   }
 }
 
-// One attempt either runs to a terminal state (converged / max iterations /
-// unrecoverable diagnostic, all flagged in stats) or detects a fault the
-// recovery layer can handle and asks the outer loop to roll back.
-enum class AttemptEnd { kDone, kFault };
+// One basis chain of the pipelined loop, double-buffered: degrees 0..s in
+// `lo`, the overlap-window extension s+1..2s in `ext`, and the power towers
+// T[j] = p_j(op) op P_cur, j = 0..s (T[0] = op P_cur).
+struct Chain {
+  Chain(Engine& engine, std::size_t s)
+      : lo(engine.new_block(s + 1)),
+        lo_next(engine.new_block(s + 1)),
+        ext(engine.new_block(s)),
+        ext_next(engine.new_block(s)) {
+    for (std::size_t j = 0; j <= s; ++j) {
+      t_prev.push_back(engine.new_block(s));
+      t_cur.push_back(engine.new_block(s));
+    }
+  }
+
+  ChainView view(bool next) {
+    return next ? ChainView{&lo_next, &ext_next} : ChainView{&lo, &ext};
+  }
+  // Degrees [first, first + count), which lie wholly in lo or in ext.
+  std::span<Vec> degrees(bool next, std::size_t first, std::size_t count) {
+    VecBlock& l = next ? lo_next : lo;
+    if (first < l.size()) return std::span<Vec>(l.data() + first, count);
+    VecBlock& e = next ? ext_next : ext;
+    return std::span<Vec>(e.data() + (first - l.size()), count);
+  }
+  void advance() {
+    std::swap(lo, lo_next);
+    std::swap(ext, ext_next);
+    std::swap(t_prev, t_cur);
+  }
+
+  VecBlock lo, lo_next, ext, ext_next;
+  std::vector<VecBlock> t_prev, t_cur;
+};
 
 }  // namespace
 
-SolveStats pipe_pscg_core(Engine& engine, const Vec& b, Vec& x,
-                          const SolverOptions& opts, int s,
+SolveStats pipelined_core(Engine& engine, const Vec& b, Vec& x,
+                          const SolverOptions& opts,
                           const std::string& method_name,
-                          double extra_flops_per_outer) {
-  SolveStats stats;
-  stats.method = method_name;
-  stats.b_norm = detail::compute_b_norm(engine, b, opts.norm);
-  const double tol = detail::threshold(stats, opts);
+                          const PipelinedPolicy& policy) {
+  const bool two = policy.preconditioned;
+  AttemptRunner run(engine, b, x, opts, method_name, two);
+  SolveStats& stats = run.stats;
+  std::size_t& iterations = run.iterations;
+  double& rnorm = run.rnorm;
   const double n_global = static_cast<double>(engine.global_size());
+  // One chain carries no PC: its true residual is always the plain one.
+  const NormType flavor = two ? opts.norm : NormType::kUnpreconditioned;
 
   Vec scratch = engine.new_vec();
   Vec scratch2 = engine.new_vec();
-  std::vector<double> alpha;
-  std::size_t iterations = 0;
-  double rnorm = 0.0;
-
-  // Resolve the basis shifts once per solve (setup-only collectives for the
-  // non-monomial families; a monomial spec passes through with no kernels,
-  // keeping default-configuration trajectories bitwise identical).
-  const BasisSpec basis_spec =
-      resolve_basis(engine, opts.basis, /*preconditioned=*/true);
-  stats.basis = to_string(basis_spec.type);
-  stats.basis_lambda_min = basis_spec.lambda_min;
-  stats.basis_lambda_max = basis_spec.lambda_max;
-
-  // Residual-gap monitor: lives outside the attempt loop so the failure
-  // ladder survives rollbacks (an escalation is what *causes* the rollback).
-  GapMonitor gap_monitor(opts.gap_tol);
-  const int gap_period = resolve_gap_period(opts);
   Vec gap_r = engine.new_vec();
   Vec gap_u = engine.new_vec();
 
-  // Fault recovery: every verdict below derives from the reduced dot batch,
-  // which is identical on all ranks, so rollback decisions stay in SPMD
-  // lockstep with no extra communication.  The initial save means there is
-  // always a checkpoint to roll back to.
-  fault::RecoveryManager recovery(opts.recovery, opts.max_recoveries);
-  if (recovery.active())
-    recovery.save(x.span(), 0, std::numeric_limits<double>::infinity());
-  int cur_s = s;
-  TelemetrySnapshot telem;
-
-  // The whole solve body runs as one "attempt" at a fixed depth.  On a
-  // detected fault (non-finite reduced batch, singular scalar work,
-  // divergence) the attempt unwinds, x is rolled back, and a fresh attempt
-  // rebuilds the power basis from the restored iterate -- possibly at a
-  // degraded depth.  A clean run is a single attempt whose arithmetic is
-  // identical to the historical non-recovering driver.
-  auto attempt = [&](int s_att) -> AttemptEnd {
+  return run.run(policy.s, [&](int s_att) -> Step {
     const std::size_t su = static_cast<std::size_t>(s_att);
-    const ShiftedBasis basis(basis_spec, s_att);
+    const ShiftedBasis basis(run.basis_spec, s_att);
     const bool shifted = !basis.monomial();
-    gap_monitor.new_attempt();
 
-    // u-side powers v_j = (M^{-1}A)^j u and r-side powers
-    // w_j = (A M^{-1})^j r, j = 0..s, plus extended powers j = s+1..2s.
-    VecBlock v = engine.new_block(su + 1), v_next = engine.new_block(su + 1);
-    VecBlock wb = engine.new_block(su + 1), wb_next = engine.new_block(su + 1);
-    VecBlock ev = engine.new_block(su), ev_next = engine.new_block(su);
-    VecBlock ew = engine.new_block(su), ew_next = engine.new_block(su);
-    // Direction block (u-side) and power towers:
-    //   tu[j] = (M^{-1}A)^{j+1} P_cur,  tr[j] = A (M^{-1}A)^j P_cur, j = 0..s.
+    // chains[0] is the u-side V = (M^{-1}A)^j u (or the single S = A^j r),
+    // chains.back() the r-side W = (A M^{-1})^j r; every per-chain kernel
+    // runs u side first.  Direction block P_cur is u-side.
+    std::vector<Chain> chains;
+    chains.reserve(2);
+    chains.emplace_back(engine, su);
+    if (two) chains.emplace_back(engine, su);
+    Chain& u = chains.front();
+    Chain& r = chains.back();
     VecBlock p_prev = engine.new_block(su), p_cur = engine.new_block(su);
-    std::vector<VecBlock> tu_prev, tu_cur, tr_prev, tr_cur;
-    for (std::size_t j = 0; j <= su; ++j) {
-      tu_prev.push_back(engine.new_block(su));
-      tu_cur.push_back(engine.new_block(su));
-      tr_prev.push_back(engine.new_block(su));
-      tr_cur.push_back(engine.new_block(su));
-    }
+
+    // Degrees [first, first + s) of the (next) chains from degree first-1:
+    // s SPMVs (+ s PCs with two chains).
+    const auto extend = [&](bool next, std::size_t first) {
+      if (shifted && two)
+        extend_chain_pc(engine, basis, r.view(next), u.view(next), first, su,
+                        scratch);
+      else if (shifted)
+        extend_chain(engine, basis, u.view(next), first, su, scratch);
+      else if (two)
+        extend_power_chain(engine, u.view(next)[first - 1],
+                           r.degrees(next, first, su),
+                           u.degrees(next, first, su));
+      else
+        engine.apply_op_powers(u.view(next)[first - 1],
+                               u.degrees(next, first, su));
+    };
+    // r = b - A x (u = M^{-1} r) and its basis, explicitly.
+    const auto anchor = [&](bool next) {
+      VecBlock& r0 = next ? r.lo_next : r.lo;
+      engine.apply_op(x, scratch);
+      engine.waxpy(r0[0], -1.0, scratch, b);
+      if (two) engine.apply_pc(r0[0], (next ? u.lo_next : u.lo)[0]);
+      extend(next, 1);
+    };
 
     // --- setup: r_0, u_0, power basis, first dot batch, extended powers --
-    {
-      Vec ax = engine.new_vec();
-      engine.apply_op(x, ax);
-      engine.waxpy(wb[0], -1.0, ax, b);  // w_0 = r_0 = b - A x_0
-    }
-    engine.apply_pc(wb[0], v[0]);  // v_0 = u_0 = M^{-1} r_0
-    if (shifted) {
-      extend_chain_pc(engine, basis, ChainView{&wb, &ew}, ChainView{&v, &ev},
-                      1, su, scratch);
-    } else {
-      extend_power_chain(engine, v[0], std::span<Vec>(wb.data() + 1, su),
-                         std::span<Vec>(v.data() + 1, su));
-    }
-
-    const DotLayout layout{s_att, /*preconditioned=*/true, shifted};
+    anchor(/*next=*/false);
+    const DotLayout layout{s_att, two, shifted};
     std::vector<DotPair> pairs;
     // One spare slot for the piggybacked gap-check dot; on iterations with
     // no check pending only the leading layout.total() values are live.
     std::vector<double> values(layout.total() + 1);
     const std::span<const double> active(values.data(), layout.total());
-    if (shifted)
-      build_gram_dot_pairs(wb, v, tr_cur[0], pairs);  // tr_cur[0] zero: C = 0
-    else
-      build_dot_pairs(wb, v, tr_cur[0], pairs);
+    build_dot_pairs(layout, r.lo, u.lo, r.t_cur[0], pairs);  // C = 0
     DotHandle handle = engine.dot_post(pairs);
-
     // Overlapped with the first allreduce: extend powers to 2s
-    // (paper Alg. 6 line 13).
-    if (shifted) {
-      extend_chain_pc(engine, basis, ChainView{&wb, &ew}, ChainView{&v, &ev},
-                      su + 1, su, scratch);
-    } else {
-      extend_power_chain(engine, v[su], std::span<Vec>(ew.data(), su),
-                         std::span<Vec>(ev.data(), su));
-    }
+    // (paper Alg. 5 line 10 / Alg. 6 line 13).
+    extend(/*next=*/false, su + 1);
 
     const int replacement_period = resolve_replacement_period(opts, s_att);
-
     ScalarWork scalar_work(s_att);
     detail::StallDetector stall(opts.stall_improvement, opts.stall_window);
-    std::size_t outer = 0;
-    double initial_rnorm = 0.0;
     detail::DivergenceDetector diverge(0.0);
+    std::size_t outer = 0;
     bool force_replace = false;
     bool gap_pending = false;
 
@@ -168,62 +156,33 @@ SolveStats pipe_pscg_core(Engine& engine, const Vec& b, Vec& x,
       // values feed anything; the roll back reruns from the checkpoint.
       // Only the ACTIVE prefix is gated -- the spare gap slot holds a stale
       // value on iterations with no check pending.
-      if (recovery.active() && !batch_finite(active)) return AttemptEnd::kFault;
-      rnorm = std::sqrt(std::max(layout.norm_sq(values, opts.norm), 0.0));
+      if (run.recovery.active() && !batch_finite(active)) return Step::kFault;
+      rnorm = layout.norm(values, opts.norm);
       if (gap_pending) {
         // The true-residual dot posted last iteration resolved in the same
         // allreduce as this batch: both norms describe the CURRENT iterate,
         // so the comparison is apples-to-apples and cost zero extra
         // collectives.
         gap_pending = false;
-        const double true_norm =
-            std::sqrt(std::max(values[layout.total()], 0.0));
-        if (std::isfinite(true_norm)) {
-          const GapMonitor::Action act =
-              gap_monitor.observe(rnorm, true_norm, stats);
-          telem.note_gap(true_norm, gap_monitor.last_gap());
-          if (act == GapMonitor::Action::kReplace) {
-            force_replace = true;
-          } else if (act == GapMonitor::Action::kEscalate) {
-            if (recovery.active()) {
-              // Two gap-triggered replacements failed to close the gap:
-              // the recurrences are unstable at this depth.  Hand the
-              // RecoveryManager a direct degrade-s request.
-              recovery.escalate_degrade();
-              return AttemptEnd::kFault;
-            }
-            stats.stagnated = true;
-            break;
-          }
-        } else if (recovery.active()) {
-          return AttemptEnd::kFault;
-        }
+        const Step st = run.observe_gap(values[layout.total()], force_replace);
+        if (st == Step::kFault) return st;
+        if (st == Step::kStop) break;
       }
-      telem.checkpoint(iterations, rnorm, opts, s_att, stats.recoveries);
-      if (!detail::checkpoint(stats, opts, iterations, rnorm)) {
-        if (recovery.active()) {
-          stats.breakdown = false;  // rolling back, not stopping
-          return AttemptEnd::kFault;
-        }
-        stats.stagnated = true;
-        break;
-      }
-      if (iterations > 0)
-        engine.mark_iteration(iterations - 1, rnorm);
-      if (outer == 0) {
-        initial_rnorm = rnorm;
-        diverge = detail::DivergenceDetector(initial_rnorm);
-      }
+      const Step st = run.checkpoint(s_att);
+      if (st == Step::kFault) return st;
+      if (st == Step::kStop) break;
+      if (iterations > 0) engine.mark_iteration(iterations - 1, rnorm);
+      if (outer == 0) diverge = detail::DivergenceDetector(rnorm);
 
-      if (rnorm < tol) {
+      if (rnorm < run.tol) {
         // Verified acceptance: the recurred residual can cross the threshold
         // spuriously (rounding drift); declare convergence only when the true
         // residual confirms it, otherwise re-anchor and keep iterating.
-        const double true_norm = true_flavored_norm(engine, b, x, opts.norm,
-                                                    scratch, scratch2);
+        const double true_norm =
+            true_flavored_norm(engine, b, x, flavor, scratch, scratch2);
         rnorm = true_norm;
         stats.history.back().second = true_norm;
-        if (true_norm < tol) {
+        if (true_norm < run.tol) {
           stats.converged = true;
           break;
         }
@@ -234,13 +193,14 @@ SolveStats pipe_pscg_core(Engine& engine, const Vec& b, Vec& x,
       // the power-basis recurrences, or a silent fault).  Roll back when we
       // can, stop instead of amplifying further when we can't.
       if (diverge.update(rnorm)) {
-        if (recovery.active()) return AttemptEnd::kFault;
+        if (run.recovery.active()) return Step::kFault;
         stats.stagnated = true;
         break;
       }
       // A genuinely improving iterate is worth checkpointing (raw copy; no
       // engine kernels, so clean-run trajectories are untouched).
-      if (recovery.should_save(rnorm)) recovery.save(x.span(), iterations, rnorm);
+      if (run.recovery.should_save(rnorm))
+        run.recovery.save(x.span(), iterations, rnorm);
       // Stagnation detection evaluates only *honest* residual checkpoints:
       // with replacement enabled those are the iterations right after a
       // truth anchoring (the pure recurred residual can keep "improving"
@@ -255,67 +215,50 @@ SolveStats pipe_pscg_core(Engine& engine, const Vec& b, Vec& x,
       }
 
       // Scalar work (two s x s LU solves behind an SPD Cholesky guard).
-      const la::DenseMatrix cross = layout.cross(values);
-      ScalarWork::Result sw =
-          shifted ? scalar_work.step_gram(
-                        basis,
-                        std::span<const double>(values.data(),
-                                                layout.tri_count()),
-                        cross)
-                  : scalar_work.step(
-                        std::span<const double>(values.data(),
-                                                layout.moment_count()),
-                        cross);
+      const ScalarWork::Result sw = scalar_work.step(layout, values, &basis);
       if (!sw.ok) {
-        if (sw.gram_breakdown) ++stats.gram_breakdowns;
-        if (recovery.active()) return AttemptEnd::kFault;
-        stats.breakdown = true;
-        stats.stagnated = true;
+        const Step fail = run.scalar_failure(sw);
+        if (fail == Step::kFault) return fail;
         break;
       }
-      telem.capture(sw);
-      alpha = sw.alpha;
+      run.telem.capture(sw);
       const bool first = outer == 0;
 
-      // Direction block: P_cur = V[0..s-1] + P_prev B.
-      copy_block(engine, v, p_cur, su);
+      // Direction block: P_cur = V[0..s-1] + P_prev B (Alg. 5 line 17).
+      copy_block(engine, u.lo, p_cur, su);
       if (!first) engine.block_maxpy(p_cur, p_prev, sw.b);
 
-      // Towers: tu_cur[j] seed + tu_prev[j] B (same on the r side with w).
-      // Monomial seed column c of tower j is the basis vector of degree
-      // j+1+c (a copy; index beyond s reads extended powers); a shifted
-      // basis seeds with the expansion of p_j(x) * x * p_c(x) over the
-      // chain -- degree <= j+c+1 <= 2s, exactly what basis+extension hold.
+      // Towers T[j] = seed + T_prev[j] B (Alg. 5 lines 14-20).  Monomial
+      // seed column c of tower j is the basis vector of degree j+1+c (a
+      // copy; degrees beyond s read the extension); a shifted basis seeds
+      // with the expansion of p_j(x) * x * p_c(x) over the chain -- degree
+      // <= j+c+1 <= 2s, exactly what basis+extension hold.
       for (std::size_t j = 0; j <= su; ++j) {
         for (std::size_t c = 0; c < su; ++c) {
-          if (shifted) {
-            combine_chain(engine, basis.seed(static_cast<int>(j),
-                                             static_cast<int>(c)),
-                          ChainView{&v, &ev}, tu_cur[j][c]);
-            combine_chain(engine, basis.seed(static_cast<int>(j),
-                                             static_cast<int>(c)),
-                          ChainView{&wb, &ew}, tr_cur[j][c]);
-          } else {
-            const std::size_t idx = j + 1 + c;
-            engine.copy(idx <= su ? v[idx] : ev[idx - su - 1], tu_cur[j][c]);
-            engine.copy(idx <= su ? wb[idx] : ew[idx - su - 1], tr_cur[j][c]);
+          for (Chain& ch : chains) {
+            if (shifted)
+              combine_chain(engine,
+                            basis.seed(static_cast<int>(j),
+                                       static_cast<int>(c)),
+                            ch.view(false), ch.t_cur[j][c]);
+            else
+              engine.copy(ch.view(false)[j + 1 + c], ch.t_cur[j][c]);
           }
         }
-        if (!first) {
-          engine.block_maxpy(tu_cur[j], tu_prev[j], sw.b);
-          engine.block_maxpy(tr_cur[j], tr_prev[j], sw.b);
-        }
+        if (!first)
+          for (Chain& ch : chains)
+            engine.block_maxpy(ch.t_cur[j], ch.t_prev[j], sw.b);
       }
 
       // x_{i+1} = x_i + P_cur alpha.
-      engine.block_axpy(x, p_cur, alpha);
+      engine.block_axpy(x, p_cur, sw.alpha);
 
-      // New bases: normally pure recurrence (paper Alg. 6 lines 28-33, no
-      // PC or SPMV); replacement iterations anchor the residual to the
-      // truth (r = b - A x, van der Vorst-style residual replacement) and
-      // rebuild the powers explicitly, resetting accumulated drift -- this
-      // keeps the reported residual honest, which is what makes stagnation
-      // *detectable* for the Hybrid switch.
+      // New bases: normally pure recurrence (Alg. 5 lines 21-25, Alg. 6
+      // lines 28-33, no PC or SPMV); replacement iterations anchor the
+      // residual to the truth (van der Vorst-style residual replacement)
+      // and rebuild the powers explicitly, resetting accumulated drift --
+      // this keeps the reported residual honest, which is what makes
+      // stagnation *detectable* for the Hybrid switch.
       const bool replace =
           force_replace ||
           (replacement_period > 0 && outer > 0 &&
@@ -323,27 +266,17 @@ SolveStats pipe_pscg_core(Engine& engine, const Vec& b, Vec& x,
       force_replace = false;
       if (replace) {
         ++stats.replacements;
-        engine.apply_op(x, scratch);
-        engine.waxpy(wb_next[0], -1.0, scratch, b);
-        engine.apply_pc(wb_next[0], v_next[0]);
-        if (shifted) {
-          extend_chain_pc(engine, basis, ChainView{&wb_next, &ew_next},
-                          ChainView{&v_next, &ev_next}, 1, su, scratch);
-        } else {
-          extend_power_chain(engine, v_next[0],
-                             std::span<Vec>(wb_next.data() + 1, su),
-                             std::span<Vec>(v_next.data() + 1, su));
-        }
+        anchor(/*next=*/true);
       } else {
-        for (std::size_t j = 0; j <= su; ++j) {
-          engine.block_combine(v_next[j], v[j], tu_cur[j], alpha);
-          engine.block_combine(wb_next[j], wb[j], tr_cur[j], alpha);
-        }
+        for (std::size_t j = 0; j <= su; ++j)
+          for (Chain& ch : chains)
+            engine.block_combine(ch.lo_next[j], ch.lo[j], ch.t_cur[j],
+                                 sw.alpha);
       }
 
-      if (extra_flops_per_outer > 0.0) {
-        engine.charge(extra_flops_per_outer * n_global,
-                      extra_flops_per_outer * n_global * 8.0);
+      if (policy.extra_flops_per_outer > 0.0) {
+        engine.charge(policy.extra_flops_per_outer * n_global,
+                      policy.extra_flops_per_outer * n_global * 8.0);
       }
 
       // Gap monitor: on due iterations measure the true residual of the
@@ -353,93 +286,38 @@ SolveStats pipe_pscg_core(Engine& engine, const Vec& b, Vec& x,
       // the truth, so the comparison would be vacuously zero and reset the
       // failure ladder without measuring recurrence health.
       const bool gap_due =
-          gap_monitor.enabled() && !replace &&
-          ((outer + 1) % static_cast<std::size_t>(gap_period)) == 0;
-      const Vec* gx = &gap_r;
-      const Vec* gy = &gap_r;
-      if (gap_due) {
-        engine.apply_op(x, scratch);
-        engine.waxpy(gap_r, -1.0, scratch, b);
-        if (opts.norm != NormType::kUnpreconditioned &&
-            engine.has_preconditioner()) {
-          engine.apply_pc(gap_r, gap_u);
-          gy = &gap_u;
-          if (opts.norm == NormType::kPreconditioned) gx = &gap_u;
-        }
-      }
+          run.gap.enabled() && !replace &&
+          ((outer + 1) % static_cast<std::size_t>(run.gap_period)) == 0;
+      DotPair gap_pair{};
+      if (gap_due) gap_pair = true_residual(engine, b, x, flavor, gap_r, gap_u);
 
       // Post the dots for the *next* iteration (moments + cross + norms)...
-      if (shifted)
-        build_gram_dot_pairs(wb_next, v_next, tr_cur[0], pairs);
-      else
-        build_dot_pairs(wb_next, v_next, tr_cur[0], pairs);
+      build_dot_pairs(layout, r.lo_next, u.lo_next, r.t_cur[0], pairs);
       if (gap_due) {
-        pairs.push_back(DotPair{gx, gy});
+        pairs.push_back(gap_pair);
         gap_pending = true;
       }
       handle = engine.dot_post(pairs);
 
-      // ...and overlap the s PCs + s SPMVs that extend the powers to 2s
-      // (paper Alg. 6 line 36 / Alg. 7 line 20).
-      if (shifted) {
-        extend_chain_pc(engine, basis, ChainView{&wb_next, &ew_next},
-                        ChainView{&v_next, &ev_next}, su + 1, su, scratch);
-      } else {
-        extend_power_chain(engine, v_next[su],
-                           std::span<Vec>(ew_next.data(), su),
-                           std::span<Vec>(ev_next.data(), su));
-      }
+      // ...and overlap the s SPMVs (+ s PCs) that extend the powers to 2s
+      // (Alg. 5 line 28 / Alg. 6 line 36 / Alg. 7 line 20).
+      extend(/*next=*/true, su + 1);
 
-      std::swap(v, v_next);
-      std::swap(wb, wb_next);
-      std::swap(ev, ev_next);
-      std::swap(ew, ew_next);
+      for (Chain& ch : chains) ch.advance();
       std::swap(p_prev, p_cur);
-      std::swap(tu_prev, tu_cur);
-      std::swap(tr_prev, tr_cur);
       iterations += su;
       ++outer;
     }
-    return AttemptEnd::kDone;
-  };
-
-  for (;;) {
-    if (attempt(cur_s) == AttemptEnd::kDone) break;
-    if (!recovery.admit_failure()) {
-      // Recovery budget exhausted: report the failure honestly.
-      stats.breakdown = true;
-      stats.stagnated = true;
-      break;
-    }
-    iterations = recovery.restore(x.span());
-    rnorm = recovery.checkpoint_rnorm();
-    ++stats.recoveries;
-    if (obs::Profiler* prof = obs::Profiler::current())
-      ++prof->counters().recoveries;
-    if (recovery.should_degrade() && cur_s > 1) {
-      cur_s = std::max(1, cur_s - 1);
-      recovery.acknowledge_degrade();
-    }
-  }
-
-  // A solve that needed rollbacks and still failed to reach the tolerance
-  // is a stagnation: the recovery layer kept it alive past diagnostics the
-  // non-recovering driver would have stopped on, so report the failure
-  // class those diagnostics would have carried.
-  if (!stats.converged && stats.recoveries > 0) stats.stagnated = true;
-
-  stats.final_s = cur_s;
-  stats.iterations = iterations;
-  stats.final_rnorm = rnorm;
-  detail::finalize_stats(engine, b, x, opts, stats);
-  return stats;
+    return Step::kStop;
+  });
 }
 
 }  // namespace sstep
 
 SolveStats PipePscgSolver::solve(Engine& engine, const Vec& b, Vec& x,
                                  const SolverOptions& opts) const {
-  return sstep::pipe_pscg_core(engine, b, x, opts, opts.s, name());
+  return sstep::pipelined_core(engine, b, x, opts, name(),
+                               {opts.s, /*preconditioned=*/true});
 }
 
 }  // namespace pipescg::krylov

@@ -5,6 +5,8 @@
 // the s PCs and s SPMVs that extend the power basis to (M^{-1}A)^{2s} u.
 // Supports preconditioned, unpreconditioned, and natural residual norms
 // without extra kernels (the norm dots ride in the same allreduce).
+// pipe_pscg.cpp also holds the shared pipelined core (sstep::pipelined_core)
+// that PIPE-sCG, PIPECG-OATI, PIPECG3 and Hybrid run with their policies.
 #pragma once
 
 #include "pipescg/krylov/solver.hpp"

@@ -1,325 +1,13 @@
 #include "pipescg/krylov/pipe_scg.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <utility>
-
-#include "pipescg/base/error.hpp"
-#include "pipescg/fault/recovery.hpp"
 #include "pipescg/krylov/sstep_common.hpp"
-#include "pipescg/obs/profiler.hpp"
 
 namespace pipescg::krylov {
-namespace {
-
-enum class AttemptEnd { kDone, kFault };
-
-}  // namespace
 
 SolveStats PipeScgSolver::solve(Engine& engine, const Vec& b, Vec& x,
                                 const SolverOptions& opts) const {
-  using namespace sstep;
-  SolveStats stats;
-  stats.method = name();
-  stats.b_norm = detail::compute_b_norm(engine, b, opts.norm);
-  const double tol = detail::threshold(stats, opts);
-
-  Vec scratch = engine.new_vec();
-  Vec scratch2 = engine.new_vec();
-  std::size_t iterations = 0;
-  double rnorm = 0.0;
-
-  // Basis shifts resolved once per solve; monomial passes through with no
-  // kernels (see pipe_pscg.cpp).
-  const BasisSpec basis_spec =
-      resolve_basis(engine, opts.basis, /*preconditioned=*/false);
-  stats.basis = to_string(basis_spec.type);
-  stats.basis_lambda_min = basis_spec.lambda_min;
-  stats.basis_lambda_max = basis_spec.lambda_max;
-
-  GapMonitor gap_monitor(opts.gap_tol);
-  const int gap_period = resolve_gap_period(opts);
-  Vec gap_r = engine.new_vec();
-
-  // Fault recovery (see pipe_pscg.cpp for the full rationale): verdicts
-  // derive from the reduced dot batch, identical on all ranks, so rollback
-  // stays in SPMD lockstep.
-  fault::RecoveryManager recovery(opts.recovery, opts.max_recoveries);
-  if (recovery.active())
-    recovery.save(x.span(), 0, std::numeric_limits<double>::infinity());
-  int cur_s = opts.s;
-  TelemetrySnapshot telem;
-
-  auto attempt = [&](int s_att) -> AttemptEnd {
-    const std::size_t su = static_cast<std::size_t>(s_att);
-    const ShiftedBasis sbasis(basis_spec, s_att);
-    const bool shifted = !sbasis.monomial();
-    gap_monitor.new_attempt();
-
-    // Basis S[j] = p_j(A) r, j = 0..s, extension E = degrees s+1..2s
-    // (monomial: plain powers A^j r).
-    VecBlock basis = engine.new_block(su + 1),
-             basis_next = engine.new_block(su + 1);
-    VecBlock ext = engine.new_block(su), ext_next = engine.new_block(su);
-    VecBlock p_prev = engine.new_block(su), p_cur = engine.new_block(su);
-    // Towers t[j] = A^{j+1} P_cur, j = 0..s (t[0] = A P_cur).
-    std::vector<VecBlock> t_prev, t_cur;
-    for (std::size_t j = 0; j <= su; ++j) {
-      t_prev.push_back(engine.new_block(su));
-      t_cur.push_back(engine.new_block(su));
-    }
-
-    {
-      Vec ax = engine.new_vec();
-      engine.apply_op(x, ax);
-      engine.waxpy(basis[0], -1.0, ax, b);  // r_0 = b - A x_0
-    }
-    if (shifted)
-      extend_chain(engine, sbasis, ChainView{&basis, &ext}, 1, su, scratch);
-    else
-      engine.apply_op_powers(basis[0], std::span<Vec>(basis.data() + 1, su));
-
-    const DotLayout layout{s_att, /*preconditioned=*/false, shifted};
-    std::vector<DotPair> pairs;
-    // One spare slot for the piggybacked gap-check dot.
-    std::vector<double> values(layout.total() + 1);
-    const std::span<const double> active(values.data(), layout.total());
-    if (shifted)
-      build_gram_dot_pairs(basis, t_cur[0], pairs);  // t_cur[0] zero: C = 0
-    else
-      build_dot_pairs(basis, t_cur[0], pairs);
-    DotHandle handle = engine.dot_post(pairs);
-
-    // Overlapped: extend the basis to degree 2s (paper Alg. 5 line 10).
-    if (shifted)
-      extend_chain(engine, sbasis, ChainView{&basis, &ext}, su + 1, su,
-                   scratch);
-    else
-      engine.apply_op_powers(basis[su], std::span<Vec>(ext.data(), su));
-
-    const int replacement_period = resolve_replacement_period(opts, s_att);
-
-    ScalarWork scalar_work(s_att);
-    detail::StallDetector stall(opts.stall_improvement, opts.stall_window);
-    std::size_t outer = 0;
-    detail::DivergenceDetector diverge(0.0);
-    bool force_replace = false;
-    bool gap_pending = false;
-
-    for (;;) {
-      engine.dot_wait(handle, values);
-      // Fault gate: corrupted kernel output (SDC) or overflow surfaces in
-      // the reduced batch as NaN/Inf; roll back instead of consuming it.
-      // Only the active prefix is gated (the gap slot may be stale).
-      if (recovery.active() && !batch_finite(active)) return AttemptEnd::kFault;
-      rnorm = std::sqrt(std::max(layout.norm_sq(values, opts.norm), 0.0));
-      if (gap_pending) {
-        gap_pending = false;
-        const double true_norm =
-            std::sqrt(std::max(values[layout.total()], 0.0));
-        if (std::isfinite(true_norm)) {
-          const GapMonitor::Action act =
-              gap_monitor.observe(rnorm, true_norm, stats);
-          telem.note_gap(true_norm, gap_monitor.last_gap());
-          if (act == GapMonitor::Action::kReplace) {
-            force_replace = true;
-          } else if (act == GapMonitor::Action::kEscalate) {
-            if (recovery.active()) {
-              recovery.escalate_degrade();
-              return AttemptEnd::kFault;
-            }
-            stats.stagnated = true;
-            break;
-          }
-        } else if (recovery.active()) {
-          return AttemptEnd::kFault;
-        }
-      }
-      telem.checkpoint(iterations, rnorm, opts, s_att, stats.recoveries);
-      if (!detail::checkpoint(stats, opts, iterations, rnorm)) {
-        if (recovery.active()) {
-          stats.breakdown = false;  // rolling back, not stopping
-          return AttemptEnd::kFault;
-        }
-        stats.stagnated = true;
-        break;
-      }
-      if (iterations > 0) engine.mark_iteration(iterations - 1, rnorm);
-      if (outer == 0) diverge = detail::DivergenceDetector(rnorm);
-
-      if (rnorm < tol) {
-        // Verified acceptance (see pipe_pscg.cpp): only the true residual
-        // can declare convergence.  All norm flavors coincide here.
-        const double true_norm = true_flavored_norm(
-            engine, b, x, NormType::kUnpreconditioned, scratch, scratch2);
-        rnorm = true_norm;
-        stats.history.back().second = true_norm;
-        if (true_norm < tol) {
-          stats.converged = true;
-          break;
-        }
-        force_replace = true;
-      }
-      if (iterations >= opts.max_iterations) break;
-      if (diverge.update(rnorm)) {
-        if (recovery.active()) return AttemptEnd::kFault;
-        stats.stagnated = true;
-        break;
-      }
-      if (recovery.should_save(rnorm))
-        recovery.save(x.span(), iterations, rnorm);
-      // Stagnation detection evaluates only *honest* residual checkpoints:
-      // with replacement enabled those are the iterations right after a
-      // truth anchoring (the pure recurred residual can keep "improving"
-      // while the true residual stalls).
-      const bool honest_checkpoint =
-          replacement_period == 0 || outer == 0 ||
-          ((outer - 1) % static_cast<std::size_t>(
-                             std::max(replacement_period, 1))) == 0;
-      if (opts.detect_stagnation && honest_checkpoint && stall.update(rnorm)) {
-        stats.stagnated = true;
-        break;
-      }
-
-      const la::DenseMatrix cross = layout.cross(values);
-      ScalarWork::Result sw =
-          shifted ? scalar_work.step_gram(
-                        sbasis,
-                        std::span<const double>(values.data(),
-                                                layout.tri_count()),
-                        cross)
-                  : scalar_work.step(
-                        std::span<const double>(values.data(),
-                                                layout.moment_count()),
-                        cross);
-      if (!sw.ok) {
-        if (sw.gram_breakdown) ++stats.gram_breakdowns;
-        if (recovery.active()) return AttemptEnd::kFault;
-        stats.breakdown = true;
-        stats.stagnated = true;
-        break;
-      }
-      telem.capture(sw);
-      const bool first = outer == 0;
-
-      // P_cur = S[0..s-1] + P_prev B  (paper Alg. 5 line 17).
-      copy_block(engine, basis, p_cur, su);
-      if (!first) engine.block_maxpy(p_cur, p_prev, sw.b);
-
-      // Towers t_cur[j] = seed + t_prev[j] B (paper Alg. 5 lines 14-20).
-      // Monomial seed column c of tower j is the degree-(j+1+c) basis
-      // vector; shifted bases seed with the p_j * x * p_c expansion.
-      for (std::size_t j = 0; j <= su; ++j) {
-        for (std::size_t c = 0; c < su; ++c) {
-          if (shifted) {
-            combine_chain(engine, sbasis.seed(static_cast<int>(j),
-                                              static_cast<int>(c)),
-                          ChainView{&basis, &ext}, t_cur[j][c]);
-          } else {
-            const std::size_t idx = j + 1 + c;
-            engine.copy(idx <= su ? basis[idx] : ext[idx - su - 1],
-                        t_cur[j][c]);
-          }
-        }
-        if (!first) engine.block_maxpy(t_cur[j], t_prev[j], sw.b);
-      }
-
-      // x update then basis recurrence (Alg. 5 lines 21-25); replacement
-      // iterations rebuild the powers explicitly to reset recurrence drift.
-      engine.block_axpy(x, p_cur, sw.alpha);
-      const bool replace =
-          force_replace ||
-          (replacement_period > 0 && outer > 0 &&
-           (outer % static_cast<std::size_t>(replacement_period)) == 0);
-      force_replace = false;
-      if (replace) {
-        // Residual replacement: anchor to the true residual b - A x, then
-        // rebuild the powers explicitly (resets recurrence drift and keeps
-        // the reported residual honest).
-        ++stats.replacements;
-        engine.apply_op(x, scratch);
-        engine.waxpy(basis_next[0], -1.0, scratch, b);
-        if (shifted)
-          extend_chain(engine, sbasis, ChainView{&basis_next, &ext_next}, 1,
-                       su, scratch);
-        else
-          engine.apply_op_powers(basis_next[0],
-                                 std::span<Vec>(basis_next.data() + 1, su));
-      } else {
-        for (std::size_t j = 0; j <= su; ++j)
-          engine.block_combine(basis_next[j], basis[j], t_cur[j], sw.alpha);
-      }
-
-      // Gap monitor: true residual of the just-updated iterate, its norm
-      // dot riding the batch below (all norm flavors coincide here).
-      // Skipped on replacement iterations (vacuous comparison; see
-      // pipe_pscg.cpp).
-      const bool gap_due =
-          gap_monitor.enabled() && !replace &&
-          ((outer + 1) % static_cast<std::size_t>(gap_period)) == 0;
-      if (gap_due) {
-        engine.apply_op(x, scratch);
-        engine.waxpy(gap_r, -1.0, scratch, b);
-      }
-
-      // Post dots for the next iteration (Alg. 5 lines 26-27)...
-      if (shifted)
-        build_gram_dot_pairs(basis_next, t_cur[0], pairs);
-      else
-        build_dot_pairs(basis_next, t_cur[0], pairs);
-      if (gap_due) {
-        pairs.push_back(DotPair{&gap_r, &gap_r});
-        gap_pending = true;
-      }
-      handle = engine.dot_post(pairs);
-
-      // ...overlapped with the s new SPMVs (Alg. 5 line 28), one halo
-      // exchange for the whole extension when the engine has an MPK.
-      if (shifted)
-        extend_chain(engine, sbasis, ChainView{&basis_next, &ext_next},
-                     su + 1, su, scratch);
-      else
-        engine.apply_op_powers(basis_next[su],
-                               std::span<Vec>(ext_next.data(), su));
-
-      std::swap(basis, basis_next);
-      std::swap(ext, ext_next);
-      std::swap(p_prev, p_cur);
-      std::swap(t_prev, t_cur);
-      iterations += su;
-      ++outer;
-    }
-    return AttemptEnd::kDone;
-  };
-
-  for (;;) {
-    if (attempt(cur_s) == AttemptEnd::kDone) break;
-    if (!recovery.admit_failure()) {
-      stats.breakdown = true;
-      stats.stagnated = true;
-      break;
-    }
-    iterations = recovery.restore(x.span());
-    rnorm = recovery.checkpoint_rnorm();
-    ++stats.recoveries;
-    if (obs::Profiler* prof = obs::Profiler::current())
-      ++prof->counters().recoveries;
-    if (recovery.should_degrade() && cur_s > 1) {
-      cur_s = std::max(1, cur_s - 1);
-      recovery.acknowledge_degrade();
-    }
-  }
-
-  // A solve that needed rollbacks and still failed to converge is a
-  // stagnation (see pipe_pscg.cpp).
-  if (!stats.converged && stats.recoveries > 0) stats.stagnated = true;
-
-  stats.final_s = cur_s;
-  stats.iterations = iterations;
-  stats.final_rnorm = rnorm;
-  detail::finalize_stats(engine, b, x, opts, stats);
-  return stats;
+  return sstep::pipelined_core(engine, b, x, opts, name(),
+                               {opts.s, /*preconditioned=*/false});
 }
 
 }  // namespace pipescg::krylov

@@ -2,10 +2,10 @@
 // (paper Algorithm 5).
 //
 // One non-blocking allreduce per s iterations, overlapped with the s SPMVs
-// that extend the monomial basis to A^{2s} r.  PIPE-PsCG with the identity
-// preconditioner is mathematically identical; this dedicated implementation
-// carries a single power basis (no r-side/u-side twins), halving the memory
-// and the recurrence work, exactly as Alg. 5 does relative to Alg. 6.
+// that extend the basis to degree 2s.  Runs the shared pipelined core
+// (sstep::pipelined_core) with the one-chain policy: a single basis S with
+// towers T, no r-side/u-side twins -- half the memory and recurrence work
+// of PIPE-PsCG, exactly as Alg. 5 relates to Alg. 6.
 #pragma once
 
 #include "pipescg/krylov/solver.hpp"

@@ -12,8 +12,9 @@ SolveStats PipeCg3Solver::solve(Engine& engine, const Vec& b, Vec& x,
   SolverOptions tuned = opts;
   if (tuned.replacement_period == 0) tuned.replacement_period = 8;
   // Published FLOP count is 90 N per outer iteration (2 CG steps).
-  return sstep::pipe_pscg_core(engine, b, x, tuned, /*s=*/2, name(),
-                               /*extra_flops_per_outer=*/24.0);
+  return sstep::pipelined_core(engine, b, x, tuned, name(),
+                               {/*s=*/2, /*preconditioned=*/true,
+                                /*extra_flops_per_outer=*/24.0});
 }
 
 }  // namespace pipescg::krylov

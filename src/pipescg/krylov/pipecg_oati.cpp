@@ -15,8 +15,9 @@ SolveStats PipeCgOatiSolver::solve(Engine& engine, const Vec& b, Vec& x,
   if (tuned.replacement_period == 0) tuned.replacement_period = 4;
   // Published FLOP count is 80 N per outer iteration (2 CG steps); the
   // depth-2 core executes ~66 N, so charge the remainder.
-  return sstep::pipe_pscg_core(engine, b, x, tuned, /*s=*/2, name(),
-                               /*extra_flops_per_outer=*/14.0);
+  return sstep::pipelined_core(engine, b, x, tuned, name(),
+                               {/*s=*/2, /*preconditioned=*/true,
+                                /*extra_flops_per_outer=*/14.0});
 }
 
 }  // namespace pipescg::krylov

@@ -39,20 +39,17 @@ SolveStats PscgSolver::solve(Engine& engine, const Vec& b, Vec& x,
   const DotLayout layout{s, /*preconditioned=*/true};
   std::vector<DotPair> pairs;
   std::vector<double> values(layout.total());
-  build_dot_pairs(wb, v, apr_cur, pairs);  // apr_cur zero: C = 0
+  build_dot_pairs(layout, wb, v, apr_cur, pairs);  // apr_cur zero: C = 0
   engine.dots(pairs, values);
 
   ScalarWork scalar_work(s);
   TelemetrySnapshot telem;
   std::size_t iterations = 0;
-  double rnorm = std::sqrt(std::max(layout.norm_sq(values, opts.norm), 0.0));
-  telem.checkpoint(0, rnorm, opts, s, stats.recoveries);
-  detail::checkpoint(stats, opts, 0, rnorm);
+  double rnorm = layout.norm(values, opts.norm);
+  telem.checkpoint(stats, opts, 0, rnorm, s);
 
   while (rnorm >= tol && iterations < opts.max_iterations) {
-    const la::DenseMatrix cross = layout.cross(values);
-    ScalarWork::Result sw = scalar_work.step(
-        std::span<const double>(values.data(), layout.moment_count()), cross);
+    const ScalarWork::Result sw = scalar_work.step(layout, values);
     if (!sw.ok) {
       stats.breakdown = true;
       stats.stagnated = true;
@@ -84,13 +81,12 @@ SolveStats PscgSolver::solve(Engine& engine, const Vec& b, Vec& x,
       engine.apply_pc(wb_next[j], v_next[j]);
     }
 
-    build_dot_pairs(wb_next, v_next, apr_cur, pairs);
+    build_dot_pairs(layout, wb_next, v_next, apr_cur, pairs);
     engine.dots(pairs, values);
 
     iterations += su;
-    rnorm = std::sqrt(std::max(layout.norm_sq(values, opts.norm), 0.0));
-    telem.checkpoint(iterations, rnorm, opts, s, stats.recoveries);
-    if (!detail::checkpoint(stats, opts, iterations, rnorm)) break;
+    rnorm = layout.norm(values, opts.norm);
+    if (!telem.checkpoint(stats, opts, iterations, rnorm, s)) break;
     engine.mark_iteration(iterations - 1, rnorm);
 
     std::swap(v, v_next);

@@ -35,20 +35,17 @@ SolveStats ScgSolver::solve(Engine& engine, const Vec& b, Vec& x,
   const DotLayout layout{s, /*preconditioned=*/false};
   std::vector<DotPair> pairs;
   std::vector<double> values(layout.total());
-  build_dot_pairs(basis, ap_cur, pairs);  // ap_cur zero: C = 0
+  build_dot_pairs(layout, basis, basis, ap_cur, pairs);  // ap_cur zero: C = 0
   engine.dots(pairs, values);
 
   ScalarWork scalar_work(s);
   TelemetrySnapshot telem;
   std::size_t iterations = 0;
-  double rnorm = std::sqrt(std::max(layout.norm_sq(values, opts.norm), 0.0));
-  telem.checkpoint(0, rnorm, opts, s, stats.recoveries);
-  detail::checkpoint(stats, opts, 0, rnorm);
+  double rnorm = layout.norm(values, opts.norm);
+  telem.checkpoint(stats, opts, 0, rnorm, s);
 
   while (rnorm >= tol && iterations < opts.max_iterations) {
-    const la::DenseMatrix cross = layout.cross(values);
-    ScalarWork::Result sw = scalar_work.step(
-        std::span<const double>(values.data(), layout.moment_count()), cross);
+    const ScalarWork::Result sw = scalar_work.step(layout, values);
     if (!sw.ok) {
       stats.breakdown = true;
       stats.stagnated = true;
@@ -78,13 +75,12 @@ SolveStats ScgSolver::solve(Engine& engine, const Vec& b, Vec& x,
       engine.apply_op(basis_next[j - 1], basis_next[j]);
 
     // One blocking allreduce for all 2s+1 moments + cross (Alg. 2 line 13).
-    build_dot_pairs(basis_next, ap_cur, pairs);
+    build_dot_pairs(layout, basis_next, basis_next, ap_cur, pairs);
     engine.dots(pairs, values);
 
     iterations += su;
-    rnorm = std::sqrt(std::max(layout.norm_sq(values, opts.norm), 0.0));
-    telem.checkpoint(iterations, rnorm, opts, s, stats.recoveries);
-    if (!detail::checkpoint(stats, opts, iterations, rnorm)) break;
+    rnorm = layout.norm(values, opts.norm);
+    if (!telem.checkpoint(stats, opts, iterations, rnorm, s)) break;
     engine.mark_iteration(iterations - 1, rnorm);
 
     std::swap(basis, basis_next);

@@ -1,264 +1,89 @@
 #include "pipescg/krylov/scg_sspmv.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <utility>
-
-#include "pipescg/base/error.hpp"
-#include "pipescg/fault/recovery.hpp"
 #include "pipescg/krylov/sstep_common.hpp"
-#include "pipescg/obs/profiler.hpp"
 
 namespace pipescg::krylov {
-namespace {
-
-enum class AttemptEnd { kDone, kFault };
-
-}  // namespace
 
 SolveStats ScgSspmvSolver::solve(Engine& engine, const Vec& b, Vec& x,
                                  const SolverOptions& opts) const {
   using namespace sstep;
-  SolveStats stats;
-  stats.method = name();
-  stats.b_norm = detail::compute_b_norm(engine, b, opts.norm);
-  const double tol = detail::threshold(stats, opts);
-
-  std::size_t iterations = 0;
-  double rnorm = 0.0;
-
-  // Basis shifts resolved once per solve; monomial passes through with no
-  // kernels (see pipe_pscg.cpp).
-  const BasisSpec basis_spec =
-      resolve_basis(engine, opts.basis, /*preconditioned=*/false);
-  stats.basis = to_string(basis_spec.type);
-  stats.basis_lambda_min = basis_spec.lambda_min;
-  stats.basis_lambda_max = basis_spec.lambda_max;
-
-  // Gap monitor: this driver's dots are blocking, so a due check resolves
-  // in the SAME batch (the true-residual dot rides the one collective the
-  // outer iteration already performs) and a triggered replacement lands at
-  // the next outer iteration's residual rebuild.
-  GapMonitor gap_monitor(opts.gap_tol);
-  const int gap_period = resolve_gap_period(opts);
+  AttemptRunner run(engine, b, x, opts, name(), /*preconditioned=*/false);
+  std::size_t& iterations = run.iterations;
+  double& rnorm = run.rnorm;
   Vec gap_r = engine.new_vec();
   Vec scratch = engine.new_vec();
 
-  // Fault recovery (see pipe_pscg.cpp for the full rationale): verdicts
-  // derive from the reduced dot batch, identical on all ranks, so rollback
-  // stays in SPMD lockstep.
-  fault::RecoveryManager recovery(opts.recovery, opts.max_recoveries);
-  if (recovery.active())
-    recovery.save(x.span(), 0, std::numeric_limits<double>::infinity());
-  int cur_s = opts.s;
-  TelemetrySnapshot telem;
+  return run.run(opts.s, [&](int s_att) -> Step {
+    const ShiftedBasis basis(run.basis_spec, s_att);
+    ScgColumn col(engine, basis);
+    col.start(engine, b, x, scratch);
 
-  auto attempt = [&](int s_att) -> AttemptEnd {
-    const std::size_t su = static_cast<std::size_t>(s_att);
-    const ShiftedBasis sbasis(basis_spec, s_att);
-    const bool shifted = !sbasis.monomial();
-    gap_monitor.new_attempt();
-
-    VecBlock basis = engine.new_block(su + 1),
-             basis_next = engine.new_block(su + 1);
-    VecBlock p_prev = engine.new_block(su), p_cur = engine.new_block(su);
-    VecBlock ap_prev = engine.new_block(su), ap_cur = engine.new_block(su);
-
-    {
-      Vec ax = engine.new_vec();
-      engine.apply_op(x, ax);
-      engine.waxpy(basis[0], -1.0, ax, b);
-    }
-    if (shifted)
-      extend_chain(engine, sbasis, ChainView{&basis, nullptr}, 1, su,
-                   scratch);
-    else
-      engine.apply_op_powers(basis[0], std::span<Vec>(basis.data() + 1, su));
-
-    const DotLayout layout{s_att, /*preconditioned=*/false, shifted};
+    const DotLayout layout{s_att, /*preconditioned=*/false, !basis.monomial()};
     std::vector<DotPair> pairs;
     // One spare slot for the piggybacked gap-check dot.
     std::vector<double> values(layout.total() + 1);
     const std::span<const double> active(values.data(), layout.total());
-    if (shifted)
-      build_gram_dot_pairs(basis, ap_cur, pairs);
-    else
-      build_dot_pairs(basis, ap_cur, pairs);
+    col.dot_pairs(layout, /*next=*/false, pairs);
     engine.dots(pairs, values);
-    if (recovery.active() && !batch_finite(active)) return AttemptEnd::kFault;
-
-    ScalarWork scalar_work(s_att);
-    std::size_t outer = 0;
-    rnorm = std::sqrt(std::max(layout.norm_sq(values, opts.norm), 0.0));
+    if (run.recovery.active() && !batch_finite(active)) return Step::kFault;
+    rnorm = layout.norm(values, opts.norm);
     detail::DivergenceDetector diverge(rnorm);
-    telem.checkpoint(iterations, rnorm, opts, s_att, stats.recoveries);
-    if (!detail::checkpoint(stats, opts, iterations, rnorm)) {
-      if (recovery.active()) {
-        stats.breakdown = false;  // rolling back, not stopping
-        return AttemptEnd::kFault;
-      }
-      stats.converged = false;
-      return AttemptEnd::kDone;
-    }
+    if (const Step st = run.checkpoint(s_att); st != Step::kGo) return st;
 
+    // Gap monitor: the dots are blocking, so a due check resolves in the
+    // SAME batch (the true-residual dot rides the one collective the outer
+    // iteration already performs) and a triggered replacement lands at the
+    // next outer iteration's residual rebuild.
     bool force_replace = false;
-    while (rnorm >= tol && iterations < opts.max_iterations) {
-      const la::DenseMatrix cross = layout.cross(values);
-      ScalarWork::Result sw =
-          shifted ? scalar_work.step_gram(
-                        sbasis,
-                        std::span<const double>(values.data(),
-                                                layout.tri_count()),
-                        cross)
-                  : scalar_work.step(
-                        std::span<const double>(values.data(),
-                                                layout.moment_count()),
-                        cross);
+    while (rnorm >= run.tol && iterations < opts.max_iterations) {
+      const ScalarWork::Result sw = col.scalar_work.step(layout, values, &basis);
       if (!sw.ok) {
-        if (sw.gram_breakdown) ++stats.gram_breakdowns;
-        if (recovery.active()) return AttemptEnd::kFault;
-        stats.breakdown = true;
-        stats.stagnated = true;
+        if (run.scalar_failure(sw) == Step::kFault) return Step::kFault;
         break;
       }
-      telem.capture(sw);
-      if (recovery.should_save(rnorm))
-        recovery.save(x.span(), iterations, rnorm);
+      run.telem.capture(sw);
+      if (run.recovery.should_save(rnorm))
+        run.recovery.save(x.span(), iterations, rnorm);
 
-      // Direction block and AQ/AP recurrence (paper Alg. 4 lines 9-11).
-      // The AP seed column c is A p_c(A) r: the next basis vector for the
-      // monomial family, the x * p_c seed expansion for a shifted one.
-      copy_block(engine, basis, p_cur, su);
-      for (std::size_t c = 0; c < su; ++c) {
-        if (shifted)
-          combine_chain(engine, sbasis.seed(0, static_cast<int>(c)),
-                        ChainView{&basis, nullptr}, ap_cur[c]);
-        else
-          engine.copy(basis[c + 1], ap_cur[c]);
-      }
-      if (outer > 0) {
-        engine.block_maxpy(p_cur, p_prev, sw.b);
-        engine.block_maxpy(ap_cur, ap_prev, sw.b);
-      }
-
-      // x and the *recurred* residual (Alg. 4 lines 12-13): no SPMV here --
-      // unless the gap monitor demanded a replacement, which re-anchors the
-      // residual to the truth (one SPMV, van der Vorst).
-      engine.block_axpy(x, p_cur, sw.alpha);
-      engine.block_combine(basis_next[0], basis[0], ap_cur, sw.alpha);
+      // The recurred residual needs no SPMV -- unless the gap monitor
+      // demanded a replacement, which re-anchors it to the truth.
       const bool replaced_now = force_replace;
       force_replace = false;
-      if (replaced_now) {
-        ++stats.replacements;
-        engine.apply_op(x, scratch);
-        engine.waxpy(basis_next[0], -1.0, scratch, b);
-      }
+      if (replaced_now) ++run.stats.replacements;
+      col.step(engine, sw, b, x, replaced_now, scratch);
 
-      // Rebuild the powers from the (possibly re-anchored) residual: s
-      // SPMVs (lines 14-15), fused into one halo exchange when an MPK is
-      // attached (monomial only; shifted chains interleave combinations).
-      if (shifted)
-        extend_chain(engine, sbasis, ChainView{&basis_next, nullptr}, 1, su,
-                     scratch);
-      else
-        engine.apply_op_powers(basis_next[0],
-                               std::span<Vec>(basis_next.data() + 1, su));
-
-      // Gap check: the true-residual dot rides the same blocking batch.
-      // Skipped on replacement iterations -- the residual was just anchored
-      // to the truth, so the comparison would be vacuously zero and reset
-      // the failure ladder without measuring recurrence health.
+      // Gap check.  Skipped on replacement iterations -- the residual was
+      // just anchored to the truth, so the comparison would be vacuously
+      // zero and reset the failure ladder without measuring recurrence
+      // health.
       const bool gap_due =
-          gap_monitor.enabled() && !replaced_now &&
-          ((outer + 1) % static_cast<std::size_t>(gap_period)) == 0;
-      if (gap_due) {
-        engine.apply_op(x, scratch);
-        engine.waxpy(gap_r, -1.0, scratch, b);
-      }
-
-      if (shifted)
-        build_gram_dot_pairs(basis_next, ap_cur, pairs);
-      else
-        build_dot_pairs(basis_next, ap_cur, pairs);
-      if (gap_due) pairs.push_back(DotPair{&gap_r, &gap_r});
+          run.gap.enabled() && !replaced_now &&
+          ((col.outer + 1) % static_cast<std::size_t>(run.gap_period)) == 0;
+      col.dot_pairs(layout, /*next=*/true, pairs);
+      if (gap_due)
+        pairs.push_back(true_residual(engine, b, x,
+                                      NormType::kUnpreconditioned, gap_r,
+                                      scratch));
       engine.dots(pairs, values);
-      if (recovery.active() && !batch_finite(active))
-        return AttemptEnd::kFault;
+      if (run.recovery.active() && !batch_finite(active)) return Step::kFault;
 
-      iterations += su;
-      ++outer;
-      rnorm = std::sqrt(std::max(layout.norm_sq(values, opts.norm), 0.0));
+      iterations += static_cast<std::size_t>(s_att);
+      rnorm = layout.norm(values, opts.norm);
       if (gap_due) {
-        const double true_norm =
-            std::sqrt(std::max(values[layout.total()], 0.0));
-        if (std::isfinite(true_norm)) {
-          const GapMonitor::Action act =
-              gap_monitor.observe(rnorm, true_norm, stats);
-          telem.note_gap(true_norm, gap_monitor.last_gap());
-          if (act == GapMonitor::Action::kReplace) {
-            force_replace = true;
-          } else if (act == GapMonitor::Action::kEscalate) {
-            if (recovery.active()) {
-              recovery.escalate_degrade();
-              return AttemptEnd::kFault;
-            }
-            stats.stagnated = true;
-            break;
-          }
-        } else if (recovery.active()) {
-          return AttemptEnd::kFault;
-        }
+        const Step st = run.observe_gap(values[layout.total()], force_replace);
+        if (st == Step::kFault) return st;
+        if (st == Step::kStop) break;
       }
-      telem.checkpoint(iterations, rnorm, opts, s_att, stats.recoveries);
-      if (!detail::checkpoint(stats, opts, iterations, rnorm)) {
-        if (recovery.active()) {
-          stats.breakdown = false;
-          return AttemptEnd::kFault;
-        }
-        stats.stagnated = true;
-        break;
-      }
+      const Step st = run.checkpoint(s_att);
+      if (st == Step::kFault) return st;
+      if (st == Step::kStop) break;
       engine.mark_iteration(iterations - 1, rnorm);
-      if (recovery.active() && diverge.update(rnorm))
-        return AttemptEnd::kFault;
-
-      std::swap(basis, basis_next);
-      std::swap(p_prev, p_cur);
-      std::swap(ap_prev, ap_cur);
+      if (run.recovery.active() && diverge.update(rnorm)) return Step::kFault;
+      col.advance();
     }
-
-    stats.converged = rnorm < tol;
-    return AttemptEnd::kDone;
-  };
-
-  for (;;) {
-    if (attempt(cur_s) == AttemptEnd::kDone) break;
-    if (!recovery.admit_failure()) {
-      stats.breakdown = true;
-      stats.stagnated = true;
-      break;
-    }
-    iterations = recovery.restore(x.span());
-    rnorm = recovery.checkpoint_rnorm();
-    ++stats.recoveries;
-    if (obs::Profiler* prof = obs::Profiler::current())
-      ++prof->counters().recoveries;
-    if (recovery.should_degrade() && cur_s > 1) {
-      cur_s = std::max(1, cur_s - 1);
-      recovery.acknowledge_degrade();
-    }
-  }
-
-  // A solve that needed rollbacks and still failed to converge is a
-  // stagnation (see pipe_pscg.cpp).
-  if (!stats.converged && stats.recoveries > 0) stats.stagnated = true;
-
-  stats.final_s = cur_s;
-  stats.iterations = iterations;
-  stats.final_rnorm = rnorm;
-  detail::finalize_stats(engine, b, x, opts, stats);
-  return stats;
+    run.stats.converged = rnorm < run.tol;
+    return Step::kStop;
+  });
 }
 
 }  // namespace pipescg::krylov

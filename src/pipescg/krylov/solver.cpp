@@ -47,7 +47,7 @@ void finalize_stats(Engine& engine, const Vec& b, const Vec& x,
 }
 
 bool checkpoint(SolveStats& stats, const SolverOptions& opts,
-                std::size_t iteration, double rnorm) {
+                std::size_t iteration, double rnorm, std::size_t column) {
   stats.history.emplace_back(iteration, rnorm);
   // Request-scoped observers: the per-rank tracer records the checkpoint
   // span, the anomaly probe publishes this rank's exposed-wait total and
@@ -59,7 +59,7 @@ bool checkpoint(SolveStats& stats, const SolverOptions& opts,
     tracer->checkpoint(iteration, rnorm);
   if (obs::anomaly::MidSolveProbe* probe =
           obs::anomaly::MidSolveProbe::current())
-    probe->on_checkpoint(iteration, rnorm);
+    probe->on_checkpoint(iteration, rnorm, column);
   if (opts.monitor) opts.monitor(IterationInfo{iteration, rnorm});
   if (!std::isfinite(rnorm)) {
     stats.breakdown = true;

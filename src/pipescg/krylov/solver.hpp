@@ -174,8 +174,11 @@ void finalize_stats(Engine& engine, const Vec& b, const Vec& x,
 /// finite: the recurrences have been destroyed (overflow, SDC, division by
 /// a vanished scalar) and every subsequent iterate would be garbage, so
 /// callers must stop (or roll back) instead of iterating on NaNs.
+/// `column` identifies the right-hand side in a batched multi-RHS solve
+/// (0 for single-RHS drivers), so per-column observers keep the k residual
+/// streams apart.
 bool checkpoint(SolveStats& stats, const SolverOptions& opts,
-                std::size_t iteration, double rnorm);
+                std::size_t iteration, double rnorm, std::size_t column = 0);
 
 /// Divergence detector shared by the pipelined s-step drivers: tracks the
 /// best residual norm seen and declares divergence when the current norm is

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "pipescg/base/error.hpp"
 #include "pipescg/la/cholesky.hpp"
 #include "pipescg/obs/metrics.hpp"
+#include "pipescg/obs/profiler.hpp"
 #include "pipescg/obs/telemetry.hpp"
 
 namespace pipescg::krylov::sstep {
@@ -28,6 +31,15 @@ bool all_finite(std::span<const double> v) {
 
 ScalarWork::ScalarWork(int s) : s_(s), w_prev_(0, 0) {
   PIPESCG_CHECK(s >= 1 && s <= 16, "s must be in [1, 16]");
+}
+
+ScalarWork::Result ScalarWork::step(const DotLayout& layout,
+                                    std::span<const double> values,
+                                    const ShiftedBasis* basis) {
+  const la::DenseMatrix cross = layout.cross(values);
+  if (!layout.gram) return step(values.first(layout.moment_count()), cross);
+  PIPESCG_CHECK(basis != nullptr, "a Gram dot layout needs its basis");
+  return step_gram(*basis, values.first(layout.tri_count()), cross);
 }
 
 ScalarWork::Result ScalarWork::step(std::span<const double> moments,
@@ -149,6 +161,10 @@ double DotLayout::norm_sq(std::span<const double> values,
   return values[0];
 }
 
+double DotLayout::norm(std::span<const double> values, NormType flavor) const {
+  return std::sqrt(std::max(norm_sq(values, flavor), 0.0));
+}
+
 la::DenseMatrix DotLayout::cross(std::span<const double> values) const {
   PIPESCG_CHECK(values.size() >= total(), "dot batch too small");
   const std::size_t su = static_cast<std::size_t>(s);
@@ -159,90 +175,46 @@ la::DenseMatrix DotLayout::cross(std::span<const double> values) const {
   return c;
 }
 
-void build_dot_pairs(const VecBlock& s_basis, const VecBlock& ap,
+void build_dot_pairs(const DotLayout& layout, const VecBlock& w,
+                     const VecBlock& v, const VecBlock& ap,
                      std::vector<DotPair>& out) {
-  const std::size_t s = ap.size();
-  PIPESCG_CHECK(s_basis.size() == s + 1, "basis must have s+1 columns");
+  const std::size_t s = static_cast<std::size_t>(layout.s);
+  PIPESCG_CHECK(ap.size() == s && w.size() == s + 1 && v.size() == s + 1,
+                "bases must have s+1 columns, AP s columns");
   out.clear();
-  // Moments m_j = (A^{j-j/2} r, A^{j/2} r), j = 0..2s.
-  for (std::size_t j = 0; j <= 2 * s; ++j) {
-    const std::size_t half = j / 2;
-    out.push_back(DotPair{&s_basis[j - half], &s_basis[half]});
+  if (layout.gram) {
+    for (std::size_t j = 0; j <= s; ++j)
+      for (std::size_t k = j; k <= s; ++k)
+        out.push_back(DotPair{&w[j], &v[k]});
+  } else {
+    for (std::size_t j = 0; j <= 2 * s; ++j) {
+      const std::size_t half = j / 2;
+      out.push_back(DotPair{&w[j - half], &v[half]});
+    }
   }
-  // Cross C(k, j) = (A P_cur[k], S_new[j]).
   for (std::size_t k = 0; k < s; ++k)
     for (std::size_t j = 0; j < s; ++j)
-      out.push_back(DotPair{&ap[k], &s_basis[j]});
-}
-
-void build_dot_pairs(const VecBlock& wb, const VecBlock& v,
-                     const VecBlock& apr, std::vector<DotPair>& out) {
-  const std::size_t s = apr.size();
-  PIPESCG_CHECK(wb.size() == s + 1 && v.size() == s + 1,
-                "bases must have s+1 columns");
-  out.clear();
-  // Moments m_j = ((A M^{-1})^{j-j/2} r, (M^{-1}A)^{j/2} u)
-  //             = r^T (M^{-1}A)^j u.
-  for (std::size_t j = 0; j <= 2 * s; ++j) {
-    const std::size_t half = j / 2;
-    out.push_back(DotPair{&wb[j - half], &v[half]});
+      out.push_back(DotPair{&ap[k], &v[j]});
+  if (layout.preconditioned) {
+    out.push_back(DotPair{&w[0], &w[0]});
+    out.push_back(DotPair{&v[0], &v[0]});
   }
-  // Cross C(k, j) = ((A P_cur)[k], V_new[j]) = (P_cur^T A V_new)(k, j).
-  for (std::size_t k = 0; k < s; ++k)
-    for (std::size_t j = 0; j < s; ++j)
-      out.push_back(DotPair{&apr[k], &v[j]});
-  // Norm extras: unpreconditioned (r, r) and preconditioned (u, u).
-  out.push_back(DotPair{&wb[0], &wb[0]});
-  out.push_back(DotPair{&v[0], &v[0]});
 }
 
-void build_gram_dot_pairs(const VecBlock& s_basis, const VecBlock& ap,
-                          std::vector<DotPair>& out) {
-  const std::size_t s = ap.size();
-  PIPESCG_CHECK(s_basis.size() == s + 1, "basis must have s+1 columns");
-  out.clear();
-  // Gram upper triangle G(j, k) = (S[j], S[k]), j <= k <= s.
-  for (std::size_t j = 0; j <= s; ++j)
-    for (std::size_t k = j; k <= s; ++k)
-      out.push_back(DotPair{&s_basis[j], &s_basis[k]});
-  // Cross C(k, j) = (A P_cur[k], S_new[j]).
-  for (std::size_t k = 0; k < s; ++k)
-    for (std::size_t j = 0; j < s; ++j)
-      out.push_back(DotPair{&ap[k], &s_basis[j]});
-}
-
-void build_gram_dot_pairs(const VecBlock& wb, const VecBlock& v,
-                          const VecBlock& apr, std::vector<DotPair>& out) {
-  const std::size_t s = apr.size();
-  PIPESCG_CHECK(wb.size() == s + 1 && v.size() == s + 1,
-                "bases must have s+1 columns");
-  out.clear();
-  // G(j, k) = (wb[j], v[k]) = v[j]^T M v[k]: the M-inner Gram of the u-side
-  // basis (wb[j] = M v[j]), symmetric, so the upper triangle suffices.
-  for (std::size_t j = 0; j <= s; ++j)
-    for (std::size_t k = j; k <= s; ++k)
-      out.push_back(DotPair{&wb[j], &v[k]});
-  // Cross C(k, j) = ((A P_cur)[k], V_new[j]).
-  for (std::size_t k = 0; k < s; ++k)
-    for (std::size_t j = 0; j < s; ++j)
-      out.push_back(DotPair{&apr[k], &v[j]});
-  // Norm extras: unpreconditioned (r, r) and preconditioned (u, u).
-  out.push_back(DotPair{&wb[0], &wb[0]});
-  out.push_back(DotPair{&v[0], &v[0]});
+DotPair true_residual(Engine& engine, const Vec& b, const Vec& x,
+                      NormType norm, Vec& r, Vec& u) {
+  engine.apply_op(x, u);
+  engine.waxpy(r, -1.0, u, b);  // r = b - A x
+  if (norm == NormType::kUnpreconditioned || !engine.has_preconditioner())
+    return DotPair{&r, &r};
+  engine.apply_pc(r, u);
+  return DotPair{norm == NormType::kPreconditioned ? &u : &r, &u};
 }
 
 double true_flavored_norm(Engine& engine, const Vec& b, const Vec& x,
                           NormType norm, Vec& scratch_r, Vec& scratch_u) {
-  engine.apply_op(x, scratch_u);
-  engine.waxpy(scratch_r, -1.0, scratch_u, b);  // r = b - A x
-  const Vec* nx = &scratch_r;
-  const Vec* ny = &scratch_r;
-  if (norm != NormType::kUnpreconditioned && engine.has_preconditioner()) {
-    engine.apply_pc(scratch_r, scratch_u);
-    ny = &scratch_u;
-    if (norm == NormType::kPreconditioned) nx = &scratch_u;
-  }
-  return std::sqrt(std::max(engine.dot(*nx, *ny), 0.0));
+  const DotPair p = true_residual(engine, b, x, norm, scratch_r, scratch_u);
+  return std::sqrt(std::max(engine.dot(*p.x, *p.y), 0.0));
 }
 
 bool batch_finite(std::span<const double> values) {
@@ -311,9 +283,10 @@ void TelemetrySnapshot::capture(const ScalarWork::Result& sw) {
   beta_fro = std::sqrt(sum_sq);
 }
 
-void TelemetrySnapshot::checkpoint(std::uint64_t iteration, double rnorm,
-                                   const SolverOptions& opts, int cur_s,
-                                   std::size_t recoveries) {
+bool TelemetrySnapshot::checkpoint(SolveStats& stats,
+                                   const SolverOptions& opts,
+                                   std::size_t iteration, double rnorm,
+                                   int cur_s) {
   // Fire when either observer is installed: the JSONL telemetry sink or the
   // live metrics gauges (alpha/beta only reach the former; capture() stays
   // gated on it).  Gap fields are one-shot: consumed by this record, reset
@@ -322,11 +295,184 @@ void TelemetrySnapshot::checkpoint(std::uint64_t iteration, double rnorm,
   const double gap = residual_gap;
   true_rnorm = -1.0;
   residual_gap = -1.0;
-  if (obs::ConvergenceTelemetry::current() == nullptr &&
-      obs::metrics::LiveSolve::current() == nullptr)
-    return;
-  obs::telemetry_checkpoint(iteration, rnorm, to_string(opts.norm), cur_s,
-                            recoveries, alpha, beta_fro, tr, gap);
+  if (obs::ConvergenceTelemetry::current() != nullptr ||
+      obs::metrics::LiveSolve::current() != nullptr)
+    obs::telemetry_checkpoint(iteration, rnorm, to_string(opts.norm), cur_s,
+                              stats.recoveries, alpha, beta_fro, tr, gap);
+  return detail::checkpoint(stats, opts, iteration, rnorm);
+}
+
+void record_basis(SolveStats& stats, const BasisSpec& spec) {
+  stats.basis = to_string(spec.type);
+  stats.basis_lambda_min = spec.lambda_min;
+  stats.basis_lambda_max = spec.lambda_max;
+}
+
+AttemptRunner::AttemptRunner(Engine& engine, const Vec& b, Vec& x,
+                             const SolverOptions& opts,
+                             const std::string& method, bool preconditioned)
+    : engine(engine),
+      b(b),
+      x(x),
+      opts(opts),
+      gap(opts.gap_tol),
+      gap_period(resolve_gap_period(opts)),
+      recovery(opts.recovery, opts.max_recoveries) {
+  stats.method = method;
+  stats.b_norm = detail::compute_b_norm(engine, b, opts.norm);
+  tol = detail::threshold(stats, opts);
+  // Basis shifts resolved once per solve (setup-only collectives for the
+  // non-monomial families; a monomial spec passes through with no kernels,
+  // keeping default-configuration trajectories bitwise identical).
+  basis_spec = resolve_basis(engine, opts.basis, preconditioned);
+  record_basis(stats, basis_spec);
+  // The initial save means there is always a checkpoint to roll back to.
+  if (recovery.active())
+    recovery.save(x.span(), 0, std::numeric_limits<double>::infinity());
+}
+
+SolveStats AttemptRunner::run(int s,
+                              const std::function<Step(int s_att)>& attempt) {
+  int cur_s = s;
+  for (;;) {
+    gap.new_attempt();
+    if (attempt(cur_s) != Step::kFault) break;
+    if (!recovery.admit_failure()) {
+      // Recovery budget exhausted: report the failure honestly.
+      stats.breakdown = true;
+      stats.stagnated = true;
+      break;
+    }
+    iterations = recovery.restore(x.span());
+    rnorm = recovery.checkpoint_rnorm();
+    ++stats.recoveries;
+    if (obs::Profiler* prof = obs::Profiler::current())
+      ++prof->counters().recoveries;
+    if (recovery.should_degrade() && cur_s > 1) {
+      cur_s = std::max(1, cur_s - 1);
+      recovery.acknowledge_degrade();
+    }
+  }
+  // A solve that needed rollbacks and still failed to reach the tolerance
+  // is a stagnation: the recovery layer kept it alive past diagnostics the
+  // non-recovering driver would have stopped on, so report the failure
+  // class those diagnostics would have carried.
+  if (!stats.converged && stats.recoveries > 0) stats.stagnated = true;
+  stats.final_s = cur_s;
+  stats.iterations = iterations;
+  stats.final_rnorm = rnorm;
+  detail::finalize_stats(engine, b, x, opts, stats);
+  return std::move(stats);
+}
+
+Step AttemptRunner::checkpoint(int s_att) {
+  if (telem.checkpoint(stats, opts, iterations, rnorm, s_att))
+    return Step::kGo;
+  if (recovery.active()) {
+    stats.breakdown = false;  // rolling back, not stopping
+    return Step::kFault;
+  }
+  stats.stagnated = true;
+  return Step::kStop;
+}
+
+Step AttemptRunner::observe_gap(double true_norm_sq, bool& force_replace) {
+  const double true_norm = std::sqrt(std::max(true_norm_sq, 0.0));
+  if (!std::isfinite(true_norm))
+    return recovery.active() ? Step::kFault : Step::kGo;
+  const GapMonitor::Action act = gap.observe(rnorm, true_norm, stats);
+  telem.note_gap(true_norm, gap.last_gap());
+  if (act == GapMonitor::Action::kReplace) force_replace = true;
+  if (act != GapMonitor::Action::kEscalate) return Step::kGo;
+  if (recovery.active()) {
+    // Two gap-triggered replacements failed to close the gap: the
+    // recurrences are unstable at this depth.  Hand the RecoveryManager a
+    // direct degrade-s request.
+    recovery.escalate_degrade();
+    return Step::kFault;
+  }
+  stats.stagnated = true;
+  return Step::kStop;
+}
+
+Step AttemptRunner::scalar_failure(const ScalarWork::Result& sw) {
+  if (sw.gram_breakdown) ++stats.gram_breakdowns;
+  if (recovery.active()) return Step::kFault;
+  stats.breakdown = true;
+  stats.stagnated = true;
+  return Step::kStop;
+}
+
+ScgColumn::ScgColumn(Engine& engine, const ShiftedBasis& basis)
+    : basis(&basis),
+      chain(engine.new_block(static_cast<std::size_t>(basis.s()) + 1)),
+      chain_next(engine.new_block(static_cast<std::size_t>(basis.s()) + 1)),
+      p_prev(engine.new_block(static_cast<std::size_t>(basis.s()))),
+      p_cur(engine.new_block(static_cast<std::size_t>(basis.s()))),
+      ap_prev(engine.new_block(static_cast<std::size_t>(basis.s()))),
+      ap_cur(engine.new_block(static_cast<std::size_t>(basis.s()))),
+      scalar_work(basis.s()) {}
+
+namespace {
+
+// Degrees 1..s of `chain` from its column 0: s SPMVs, fused into one halo
+// exchange when an MPK is attached (monomial only; shifted chains
+// interleave the three-term combinations).
+void build_basis(Engine& engine, const ShiftedBasis& basis, VecBlock& chain,
+                 Vec& scratch) {
+  const std::size_t su = static_cast<std::size_t>(basis.s());
+  if (basis.monomial())
+    engine.apply_op_powers(chain[0], std::span<Vec>(chain.data() + 1, su));
+  else
+    extend_chain(engine, basis, ChainView{&chain, nullptr}, 1, su, scratch);
+}
+
+}  // namespace
+
+void ScgColumn::start(Engine& engine, const Vec& b, const Vec& x,
+                      Vec& scratch) {
+  engine.apply_op(x, scratch);
+  engine.waxpy(chain[0], -1.0, scratch, b);
+  build_basis(engine, *basis, chain, scratch);
+}
+
+void ScgColumn::step(Engine& engine, const ScalarWork::Result& sw,
+                     const Vec& b, Vec& x, bool replace, Vec& scratch) {
+  const std::size_t su = static_cast<std::size_t>(basis->s());
+  // The AP seed column c is A p_c(A) r: the next basis vector for the
+  // monomial family, the x * p_c seed expansion for a shifted one.
+  copy_block(engine, chain, p_cur, su);
+  for (std::size_t c = 0; c < su; ++c) {
+    if (basis->monomial())
+      engine.copy(chain[c + 1], ap_cur[c]);
+    else
+      combine_chain(engine, basis->seed(0, static_cast<int>(c)),
+                    ChainView{&chain, nullptr}, ap_cur[c]);
+  }
+  if (outer > 0) {
+    engine.block_maxpy(p_cur, p_prev, sw.b);
+    engine.block_maxpy(ap_cur, ap_prev, sw.b);
+  }
+  engine.block_axpy(x, p_cur, sw.alpha);
+  engine.block_combine(chain_next[0], chain[0], ap_cur, sw.alpha);
+  if (replace) {
+    engine.apply_op(x, scratch);
+    engine.waxpy(chain_next[0], -1.0, scratch, b);
+  }
+  build_basis(engine, *basis, chain_next, scratch);
+}
+
+void ScgColumn::dot_pairs(const DotLayout& layout, bool next,
+                          std::vector<DotPair>& out) const {
+  const VecBlock& c = next ? chain_next : chain;
+  build_dot_pairs(layout, c, c, ap_cur, out);
+}
+
+void ScgColumn::advance() {
+  std::swap(chain, chain_next);
+  std::swap(p_prev, p_cur);
+  std::swap(ap_prev, ap_cur);
+  ++outer;
 }
 
 }  // namespace pipescg::krylov::sstep

@@ -25,59 +25,24 @@
 // exists *before* any new SPMV -- the dot products post immediately and the
 // s SPMVs (+ s PCs) that extend the power basis to A^{2s} r_{i+1} overlap
 // the allreduce (paper Alg. 5/6/7).
+//
+// The drivers are policies over one skeleton (DESIGN.md section 6, "Driver
+// skeleton"): AttemptRunner owns the solve-wide scaffolding, pipelined_core
+// the one pipelined loop, ScgColumn the sCG-sSPMV column step.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "pipescg/fault/recovery.hpp"
 #include "pipescg/krylov/basis.hpp"
 #include "pipescg/krylov/solver.hpp"
 #include "pipescg/la/dense_matrix.hpp"
 #include "pipescg/la/lu.hpp"
 
 namespace pipescg::krylov::sstep {
-
-/// The "Scalar Work" of Alg. 2 line 7: two s x s solves per outer iteration.
-class ScalarWork {
- public:
-  explicit ScalarWork(int s);
-
-  struct Result {
-    la::DenseMatrix b;          // s x s conjugation coefficients (beta's)
-    std::vector<double> alpha;  // s step sizes
-    bool ok = false;            // false on singular/non-finite scalar work
-    // The W system failed the SPD guard (la::CholeskyFactorization::
-    // try_factor): the basis Gram matrix has numerically collapsed.  A
-    // structured soft failure -- the caller rolls back / replaces instead of
-    // iterating on the garbage an LU solve of a near-singular system would
-    // produce.  Always false when `ok`.
-    bool gram_breakdown = false;
-  };
-
-  /// Monomial basis: moments m_0..m_2s (size 2s+1), cross C (s x s,
-  /// C(k,j) = (AP_prev[k], S_new[j])).  Maintains W_{i-1} across calls.
-  Result step(std::span<const double> moments, const la::DenseMatrix& cross);
-
-  /// Shifted basis: `tri` is the basis Gram upper triangle G(j,k) =
-  /// (S[j], S[k]) for 0 <= j <= k <= s in DotLayout::gram_index order
-  /// ((s+1)(s+2)/2 values); M_S and g are recovered through the three-term
-  /// recurrence, N(j,k) = gamma_k G(j,k+1) + theta_k G(j,k) +
-  /// sigma_k G(j,k-1) and g_j = G(0,j).  Degenerates to step() numbers for
-  /// a monomial `basis`.
-  Result step_gram(const ShiftedBasis& basis, std::span<const double> tri,
-                   const la::DenseMatrix& cross);
-
-  bool first() const { return first_; }
-
- private:
-  Result solve_with(const la::DenseMatrix& m_s, std::span<const double> g,
-                    const la::DenseMatrix& cross);
-
-  int s_;
-  bool first_ = true;
-  la::DenseMatrix w_prev_;
-};
 
 /// Layout of the single per-iteration dot batch.
 struct DotLayout {
@@ -114,32 +79,70 @@ struct DotLayout {
 
   /// Residual norm^2 in the requested flavor from the reduced values.
   double norm_sq(std::span<const double> values, NormType norm) const;
+  /// sqrt(max(norm_sq, 0)).
+  double norm(std::span<const double> values, NormType norm) const;
 
   /// Extract the cross block C from the reduced values.
   la::DenseMatrix cross(std::span<const double> values) const;
 };
 
-/// Build the batch for the unpreconditioned methods: basis S has s+1
-/// columns [r, A r, ..., A^s r]; ap has s columns A P_cur.
-void build_dot_pairs(const VecBlock& s_basis, const VecBlock& ap,
+/// The "Scalar Work" of Alg. 2 line 7: two s x s solves per outer iteration.
+class ScalarWork {
+ public:
+  explicit ScalarWork(int s);
+
+  struct Result {
+    la::DenseMatrix b;          // s x s conjugation coefficients (beta's)
+    std::vector<double> alpha;  // s step sizes
+    bool ok = false;            // false on singular/non-finite scalar work
+    // The W system failed the SPD guard (la::CholeskyFactorization::
+    // try_factor): the basis Gram matrix has numerically collapsed.  A
+    // structured soft failure -- the caller rolls back / replaces instead of
+    // iterating on the garbage an LU solve of a near-singular system would
+    // produce.  Always false when `ok`.
+    bool gram_breakdown = false;
+  };
+
+  /// One step from a reduced dot batch laid out by `layout`: the 2s+1
+  /// moments for a monomial layout, the basis Gram triangle for a shifted
+  /// one (`basis` is then required), plus the cross block.
+  Result step(const DotLayout& layout, std::span<const double> values,
+              const ShiftedBasis* basis = nullptr);
+
+  /// Monomial basis: moments m_0..m_2s (size 2s+1), cross C (s x s,
+  /// C(k,j) = (AP_prev[k], S_new[j])).  Maintains W_{i-1} across calls.
+  Result step(std::span<const double> moments, const la::DenseMatrix& cross);
+
+ private:
+  /// Shifted basis: `tri` is the basis Gram upper triangle G(j,k) =
+  /// (S[j], S[k]) for 0 <= j <= k <= s in DotLayout::gram_index order
+  /// ((s+1)(s+2)/2 values); M_S and g are recovered through the three-term
+  /// recurrence, N(j,k) = gamma_k G(j,k+1) + theta_k G(j,k) +
+  /// sigma_k G(j,k-1) and g_j = G(0,j).  Degenerates to step() numbers for
+  /// a monomial `basis`.
+  Result step_gram(const ShiftedBasis& basis, std::span<const double> tri,
+                   const la::DenseMatrix& cross);
+  Result solve_with(const la::DenseMatrix& m_s, std::span<const double> g,
+                    const la::DenseMatrix& cross);
+
+  int s_;
+  bool first_ = true;
+  la::DenseMatrix w_prev_;
+};
+
+/// Build the batch laid out by `layout` over the r-side basis `w`, the
+/// u-side basis `v` (s+1 columns each; the same block when unpreconditioned)
+/// and `ap` = A P_cur (s columns, r-side):
+///   * monomial: moments m_j = (w[j - j/2], v[j/2]) = r^T (M^{-1}A)^j u,
+///     j = 0..2s;
+///   * shifted (layout.gram): the Gram upper triangle G(j,k) = (w[j], v[k]),
+///     j <= k -- the M-inner Gram of the u-side basis (w[j] = M v[j]) --
+///     same shape of communication, larger payload;
+/// then the cross block C(k, j) = (ap[k], v[j]) and, when preconditioned,
+/// the norm extras (r, r) and (u, u).
+void build_dot_pairs(const DotLayout& layout, const VecBlock& w,
+                     const VecBlock& v, const VecBlock& ap,
                      std::vector<DotPair>& out);
-
-/// Preconditioned: wb = r-side powers [(A M^{-1})^j r], v = u-side powers
-/// [(M^{-1}A)^j u] (s+1 columns each); apr = A P_cur (s columns, r-side).
-void build_dot_pairs(const VecBlock& wb, const VecBlock& v,
-                     const VecBlock& apr, std::vector<DotPair>& out);
-
-/// Shifted-basis batch (DotLayout::gram): Gram upper triangle
-/// G(j,k) = (S[j], S[k]), j <= k, then the cross block -- same shape of
-/// communication as the monomial batch, larger payload.
-void build_gram_dot_pairs(const VecBlock& s_basis, const VecBlock& ap,
-                          std::vector<DotPair>& out);
-
-/// Preconditioned shifted-basis batch: G(j,k) = (wb[j], v[k]) = the
-/// M-inner product of the u-side basis columns (wb[j] = M v[j]), j <= k;
-/// cross and the two norm extras follow as in the monomial layout.
-void build_gram_dot_pairs(const VecBlock& wb, const VecBlock& v,
-                          const VecBlock& apr, std::vector<DotPair>& out);
 
 /// NaN/Inf guard on a reduced dot batch (the 2s+1 moments plus the Gram
 /// cross block).  The reduced values are identical on all ranks, so every
@@ -203,6 +206,12 @@ class GapMonitor {
   std::size_t failures_ = 0;   // consecutive replacements that didn't close it
 };
 
+/// r = b - A x (one SPMV) and, for the preconditioned flavors, u = M^{-1} r
+/// (one PC; `u` doubles as the A x buffer).  Returns the pair whose dot is
+/// the squared true residual norm in `norm`'s flavor.
+DotPair true_residual(Engine& engine, const Vec& b, const Vec& x,
+                      NormType norm, Vec& r, Vec& u);
+
 /// True residual norm in the requested flavor: r = b - A x (one SPMV),
 /// u = M^{-1} r when needed (one PC), one blocking dot.  Used for verified
 /// acceptance: a pipelined method's recurred residual may cross the
@@ -218,9 +227,10 @@ void copy_block(Engine& engine, const VecBlock& src, VecBlock& dst,
 /// Per-iteration convergence telemetry staging for the s-step drivers.
 /// capture() snapshots the most recent scalar work (alpha step sizes and
 /// ||B||_F); checkpoint() emits one obs telemetry record with that snapshot
-/// -- drivers call it next to every detail::checkpoint so the JSONL stream
-/// has exactly one record per residual-history entry.  Both are no-ops
-/// (one thread-local check) when no telemetry sink is installed.
+/// and then records the residual checkpoint (detail::checkpoint), so the
+/// JSONL stream has exactly one record per residual-history entry.  The
+/// telemetry half is a no-op (one thread-local check) when no telemetry
+/// sink is installed.
 struct TelemetrySnapshot {
   std::vector<double> alpha;
   double beta_fro = 0.0;
@@ -236,17 +246,116 @@ struct TelemetrySnapshot {
     true_rnorm = true_norm;
     residual_gap = gap;
   }
-  void checkpoint(std::uint64_t iteration, double rnorm,
-                  const SolverOptions& opts, int cur_s,
-                  std::size_t recoveries);
+  /// Telemetry record + detail::checkpoint; returns the latter's verdict
+  /// (false on a non-finite residual, breakdown flagged in `stats`).
+  bool checkpoint(SolveStats& stats, const SolverOptions& opts,
+                  std::size_t iteration, double rnorm, int cur_s);
 };
 
-/// The preconditioned pipelined core (paper Alg. 6 + 7), parameterized so
-/// PIPE-PsCG (s = opts.s), PIPECG-OATI (s = 2) and PIPECG3 (s = 2 + extra
-/// charged FLOPs) share one implementation.
-SolveStats pipe_pscg_core(Engine& engine, const Vec& b, Vec& x,
-                          const SolverOptions& opts, int s,
+/// Stamp the resolved basis family and shift interval into `stats`.
+void record_basis(SolveStats& stats, const BasisSpec& spec);
+
+/// How a step of an attempt -- or the attempt itself -- ended: keep going,
+/// stop (terminal state, flags already set in the stats), or a detected
+/// fault the recovery layer rolls back.
+enum class Step { kGo, kStop, kFault };
+
+/// The solve-wide scaffolding every single-RHS s-step driver shares.
+///
+/// Construction resolves ||b||, the tolerance and the basis shifts (setup
+/// collectives, in that order) and saves the initial recovery checkpoint.
+/// run() then calls the driver's attempt at depth s; an attempt either runs
+/// to a terminal state or reports a fault, in which case x is rolled back,
+/// s is degraded after repeated no-progress failures, and a fresh attempt
+/// rebuilds the basis from the restored iterate.  Every verdict derives
+/// from reduced dot batches, identical on all ranks, so rollback stays in
+/// SPMD lockstep with no extra communication.  A clean run is a single
+/// attempt whose arithmetic is identical to a non-recovering driver.
+struct AttemptRunner {
+  AttemptRunner(Engine& engine, const Vec& b, Vec& x,
+                const SolverOptions& opts, const std::string& method,
+                bool preconditioned);
+
+  /// Attempts at depth s until one ends without a fault (or the recovery
+  /// budget is spent), then the final stats epilogue.
+  SolveStats run(int s, const std::function<Step(int s_att)>& attempt);
+
+  /// Residual checkpoint of (iterations, rnorm): telemetry + history.  A
+  /// non-finite residual is a fault when recovery is active, else a stop.
+  Step checkpoint(int s_att);
+  /// Feed one resolved gap check (the reduced true-residual norm^2) to the
+  /// GapMonitor: sets `force_replace` on a replace verdict; an escalation
+  /// hands the RecoveryManager a degrade-s request (fault) or, without
+  /// recovery, stops as stagnated.
+  Step observe_gap(double true_norm_sq, bool& force_replace);
+  /// A failed scalar-work step: fault under recovery, else a breakdown stop.
+  Step scalar_failure(const ScalarWork::Result& sw);
+
+  Engine& engine;
+  const Vec& b;
+  Vec& x;
+  const SolverOptions& opts;
+  SolveStats stats;
+  double tol = 0.0;
+  BasisSpec basis_spec;
+  // The gap monitor and the recovery manager outlive attempts: the failure
+  // ladder survives rollbacks (an escalation is what *causes* one).
+  GapMonitor gap;
+  int gap_period;
+  fault::RecoveryManager recovery;
+  TelemetrySnapshot telem;
+  std::size_t iterations = 0;
+  double rnorm = 0.0;
+};
+
+/// One sCG-sSPMV system (paper Alg. 4): the basis S = [p_0(A) r, ...,
+/// p_s(A) r], the direction block P and its A-image AP carried by
+/// recurrence, and the system's scalar work.  ScgSspmvSolver runs one;
+/// scg_multi_solve runs k in lockstep with their dot batches fused.
+struct ScgColumn {
+  ScgColumn(Engine& engine, const ShiftedBasis& basis);
+
+  /// r_0 = b - A x into S[0], then the basis (s SPMVs).
+  void start(Engine& engine, const Vec& b, const Vec& x, Vec& scratch);
+  /// One outer step with scalar work `sw`: P = S + P_prev B and AP likewise
+  /// (Alg. 4 lines 9-11), x += P alpha and the recurred residual
+  /// r - AP alpha (lines 12-13) -- re-anchored to b - A x (one SPMV) when
+  /// `replace` -- then the basis of the new residual into S_next (s SPMVs,
+  /// one halo epoch with an MPK attached; lines 14-15).
+  void step(Engine& engine, const ScalarWork::Result& sw, const Vec& b,
+            Vec& x, bool replace, Vec& scratch);
+  /// The dot batch over S (next = false) or S_next (next = true) and AP.
+  void dot_pairs(const DotLayout& layout, bool next,
+                 std::vector<DotPair>& out) const;
+  /// Swap the double buffers: S_next becomes S, P becomes P_prev, AP
+  /// becomes AP_prev.
+  void advance();
+
+  const ShiftedBasis* basis;
+  VecBlock chain, chain_next;  // S and S_next (s+1 columns each)
+  VecBlock p_prev, p_cur, ap_prev, ap_cur;
+  ScalarWork scalar_work;
+  std::size_t outer = 0;
+};
+
+/// What a pipelined s-step variant fixes; the paper's Algs. 5-7 differ only
+/// in these.  Chosen by the solver's identity, never by a user option.
+struct PipelinedPolicy {
+  int s;
+  // Two basis chains (u-side V = (M^{-1}A)^j u and r-side W = M V, PIPE-PsCG
+  // family, Alg. 6/7) or one (S = A^j r, PIPE-sCG, Alg. 5).
+  bool preconditioned;
+  // Extra FLOPs per outer iteration charged to the cost model (the
+  // published counts of the reconstructed PIPECG-OATI/PIPECG3 baselines).
+  double extra_flops_per_outer = 0.0;
+};
+
+/// The pipelined s-step loop (paper Alg. 5-7): PIPE-sCG (one chain),
+/// PIPE-PsCG (two chains, s = opts.s), PIPECG-OATI and PIPECG3 (two chains,
+/// s = 2, extra charged FLOPs) and Hybrid's first phase share it.
+SolveStats pipelined_core(Engine& engine, const Vec& b, Vec& x,
+                          const SolverOptions& opts,
                           const std::string& method_name,
-                          double extra_flops_per_outer = 0.0);
+                          const PipelinedPolicy& policy);
 
 }  // namespace pipescg::krylov::sstep

@@ -169,20 +169,22 @@ StallDetector::StallDetector(StallConfig config) : config_(config) {
 }
 
 std::optional<Alert> StallDetector::feed(std::uint64_t iteration,
-                                         double rnorm) {
+                                         double rnorm, std::size_t column) {
+  if (column >= windows_.size()) windows_.resize(column + 1);
+  std::deque<double>& window = windows_[column];
   if (!std::isfinite(rnorm) || rnorm <= 0.0) {
-    window_.clear();
+    window.clear();
     return std::nullopt;
   }
-  window_.push_back(rnorm);
-  if (window_.size() > config_.window) window_.pop_front();
-  if (window_.size() < config_.window) return std::nullopt;
-  const double start = window_.front();
+  window.push_back(rnorm);
+  if (window.size() > config_.window) window.pop_front();
+  if (window.size() < config_.window) return std::nullopt;
+  const double start = window.front();
   const double ratio = rnorm / start;
   // Runaway growth is divergence -- the drivers' own detector owns it.
   if (ratio > config_.divergence_factor) return std::nullopt;
   if (ratio < 1.0 - config_.min_improvement) return std::nullopt;
-  window_.clear();  // re-arm only after a fresh full window
+  window.clear();  // re-arm only after a fresh full window
   Alert alert;
   alert.family = "convergence_stall";
   alert.severity = "warning";
@@ -239,7 +241,8 @@ std::optional<Alert> QueuePressureMonitor::on_dispatch(
 
 thread_local MidSolveProbe* MidSolveProbe::tls_current_ = nullptr;
 
-void MidSolveProbe::on_checkpoint(std::uint64_t iteration, double rnorm) {
+void MidSolveProbe::on_checkpoint(std::uint64_t iteration, double rnorm,
+                                  std::size_t column) {
   if (shared_ == nullptr) return;
   if (StragglerDetector* det = shared_->straggler) {
     if (const Profiler* prof = Profiler::current()) {
@@ -257,7 +260,8 @@ void MidSolveProbe::on_checkpoint(std::uint64_t iteration, double rnorm) {
     }
   }
   if (rank_ == 0 && shared_->stall != nullptr) {
-    if (std::optional<Alert> alert = shared_->stall->feed(iteration, rnorm))
+    if (std::optional<Alert> alert =
+            shared_->stall->feed(iteration, rnorm, column))
       emit(std::move(*alert));
   }
 }

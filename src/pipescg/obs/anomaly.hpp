@@ -157,17 +157,21 @@ struct StallConfig {
 };
 
 /// Residual-plateau detector over the checkpoint stream (rank 0 feeds it).
+/// One window per right-hand side: a batched multi-RHS solve interleaves k
+/// columns' checkpoints, and one shared window would compare one column's
+/// residual against another's.
 class StallDetector {
  public:
   explicit StallDetector(StallConfig config = {});
 
   const StallConfig& config() const { return config_; }
 
-  std::optional<Alert> feed(std::uint64_t iteration, double rnorm);
+  std::optional<Alert> feed(std::uint64_t iteration, double rnorm,
+                            std::size_t column = 0);
 
  private:
   StallConfig config_;
-  std::deque<double> window_;
+  std::vector<std::deque<double>> windows_;  // indexed by column
 };
 
 // --- queue pressure ---------------------------------------------------------
@@ -231,8 +235,10 @@ class MidSolveProbe {
 
   int rank() const { return rank_; }
 
-  /// Called from obs::telemetry_checkpoint on the owning rank thread.
-  void on_checkpoint(std::uint64_t iteration, double rnorm);
+  /// Called from krylov::detail::checkpoint on the owning rank thread;
+  /// `column` is the right-hand side of a batched solve (0 otherwise).
+  void on_checkpoint(std::uint64_t iteration, double rnorm,
+                     std::size_t column = 0);
 
   static MidSolveProbe* current() { return tls_current_; }
 

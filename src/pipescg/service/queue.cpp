@@ -10,10 +10,21 @@ bool batchable(const SolveContext& a, const SolveContext& b) {
   // singly.
   if (a.method() != "scg-sspmv" || b.method() != "scg-sspmv") return false;
   if (a.step_limit() != 0 || b.step_limit() != 0) return false;
+  // A batch runs every column with its head's options, so everything the
+  // solve reads must match -- the basis spec included, or a Chebyshev job
+  // queued behind a monomial one would silently run monomial.
   const krylov::SolverOptions& oa = a.options();
   const krylov::SolverOptions& ob = b.options();
+  const krylov::BasisSpec& ba = oa.basis;
+  const krylov::BasisSpec& bb = ob.basis;
   return oa.s == ob.s && oa.rtol == ob.rtol && oa.atol == ob.atol &&
-         oa.norm == ob.norm && oa.max_iterations == ob.max_iterations;
+         oa.norm == ob.norm && oa.max_iterations == ob.max_iterations &&
+         ba.type == bb.type && ba.lambda_min == bb.lambda_min &&
+         ba.lambda_max == bb.lambda_max &&
+         ba.power_iterations == bb.power_iterations &&
+         ba.interval_ratio == bb.interval_ratio &&
+         oa.gap_tol == ob.gap_tol &&
+         oa.gap_check_period == ob.gap_check_period;
 }
 
 void AdmissionQueue::submit(SolveContext* ctx) {

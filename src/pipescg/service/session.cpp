@@ -147,16 +147,41 @@ std::size_t Session::drain(AdmissionQueue& queue, std::size_t max_batch) {
     }
     const std::vector<SolveContext*> batch = queue.next_batch(max_batch);
     if (batch.empty()) break;
-    const auto start = std::chrono::steady_clock::now();
-    for (const SolveContext* ctx : batch)
-      queue_latency_.add(
-          std::chrono::duration<double>(start - ctx->enqueued_at_).count());
-    execute(batch);
+    // The fused dot payload bounds the batch width (wider at large s and
+    // for shifted bases); a longer run executes as consecutive batches.
+    const krylov::SolverOptions head = resolved_options(*batch.front());
+    const std::size_t width = std::max<std::size_t>(
+        1, krylov::max_batch_columns(
+               head.s, head.basis.type != krylov::BasisType::kMonomial));
+    for (std::size_t i = 0; i < batch.size(); i += width) {
+      const std::span<SolveContext* const> chunk =
+          std::span(batch).subspan(i, std::min(width, batch.size() - i));
+      const auto start = std::chrono::steady_clock::now();
+      for (const SolveContext* ctx : chunk)
+        queue_latency_.add(
+            std::chrono::duration<double>(start - ctx->enqueued_at_).count());
+      execute(chunk);
+    }
     executed += batch.size();
   }
   if (live_metrics_.queue_depth != nullptr)
     live_metrics_.queue_depth->set(0.0);
   return executed;
+}
+
+krylov::SolverOptions Session::resolved_options(
+    const SolveContext& ctx) const {
+  // Session-wide stability defaults: knobs the context left unset inherit
+  // the session's.
+  krylov::SolverOptions opts = ctx.opts_;
+  if (opts.basis.type == krylov::BasisType::kMonomial)
+    opts.basis = config_.basis;
+  if (opts.replacement_period == 0)
+    opts.replacement_period = config_.replacement_period;
+  if (opts.gap_tol <= 0.0) opts.gap_tol = config_.gap_tol;
+  if (opts.gap_check_period == 0)
+    opts.gap_check_period = config_.gap_check_period;
+  return opts;
 }
 
 void Session::execute(std::span<SolveContext* const> ctxs) {
@@ -228,18 +253,10 @@ void Session::execute(std::span<SolveContext* const> ctxs) {
   if (live.empty()) return;
 
   const std::size_t k = live.size();
-  krylov::SolverOptions opts = live[0]->opts_;
+  // Applied uniformly to a batch: batchable() guarantees the contexts share
+  // their convergence contract and stability settings.
+  krylov::SolverOptions opts = resolved_options(*live[0]);
   opts.max_iterations = budget;
-  // Session-wide stability defaults: knobs the context left unset inherit
-  // the session's.  Applied uniformly to a batch (batchable() guarantees
-  // the contexts share their convergence contract).
-  if (opts.basis.type == krylov::BasisType::kMonomial)
-    opts.basis = config_.basis;
-  if (opts.replacement_period == 0)
-    opts.replacement_period = config_.replacement_period;
-  if (opts.gap_tol <= 0.0) opts.gap_tol = config_.gap_tol;
-  if (opts.gap_check_period == 0)
-    opts.gap_check_period = config_.gap_check_period;
   const std::string& method = live[0]->method_;
   const int ranks = config_.ranks;
 

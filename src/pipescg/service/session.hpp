@@ -136,7 +136,9 @@ class Session {
   void solve_batch(std::span<SolveContext* const> ctxs);
 
   /// Drain the admission queue: repeatedly pop the next batchable run
-  /// (capped at `max_batch` columns) and execute it, until the queue is
+  /// (capped at `max_batch` columns) and execute it -- as consecutive
+  /// batches of at most krylov::max_batch_columns(s, shifted) columns, the
+  /// widest fused payload one allreduce carries -- until the queue is
   /// empty.  Records per-job admission-wait latency.  Returns the number of
   /// jobs executed.
   std::size_t drain(AdmissionQueue& queue, std::size_t max_batch = 16);
@@ -177,6 +179,9 @@ class Session {
   // Shared body of solve/solve_batch: run `ctxs` (1 => single-RHS driver,
   // else scg_multi_solve) on the team and finalize every context.
   void execute(std::span<SolveContext* const> ctxs);
+  /// A context's options with the session's stability defaults filled in
+  /// for the knobs it left unset.
+  krylov::SolverOptions resolved_options(const SolveContext& ctx) const;
 
   // Route one alert through the sink and the pipescg_anomaly_* metrics.
   // Called from the service thread (queue/deadline alerts) and from rank

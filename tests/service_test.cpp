@@ -386,6 +386,72 @@ TEST(AdmissionQueueTest, DrainExecutesMixedStream) {
   }
 }
 
+TEST(AdmissionQueueTest, BasisAndGapSettingsSplitBatches) {
+  // A batch runs every column with its head's options: a Chebyshev job
+  // queued behind a monomial one must not batch with it (it would silently
+  // run monomial), and neither may jobs with different gap monitors.
+  const sparse::CsrMatrix a = test_matrix();
+  const krylov::SolverOptions mono = test_opts();
+  krylov::SolverOptions cheb = mono;
+  cheb.basis.type = krylov::BasisType::kChebyshev;
+  krylov::SolverOptions bounded = cheb;
+  bounded.basis.lambda_max = 8.0;
+  krylov::SolverOptions gap = mono;
+  gap.gap_tol = 1e-3;
+  krylov::SolverOptions gap_period = gap;
+  gap_period.gap_check_period = 2;
+  SolveContext m("scg-sspmv", test_rhs(a, 0), mono);
+  SolveContext c("scg-sspmv", test_rhs(a, 1), cheb);
+  SolveContext cb("scg-sspmv", test_rhs(a, 2), bounded);
+  SolveContext g("scg-sspmv", test_rhs(a, 3), gap);
+  SolveContext gp("scg-sspmv", test_rhs(a, 4), gap_period);
+  EXPECT_FALSE(batchable(m, c));
+  EXPECT_FALSE(batchable(c, cb));
+  EXPECT_FALSE(batchable(m, g));
+  EXPECT_FALSE(batchable(g, gp));
+
+  SessionConfig config;
+  config.ranks = 2;
+  Session session(a, config);
+  AdmissionQueue queue;
+  queue.submit(&m);
+  queue.submit(&c);
+  EXPECT_EQ(session.drain(queue), 2u);
+  EXPECT_EQ(session.team_runs(), 2u);
+  EXPECT_EQ(m.stats().basis, "monomial");
+  EXPECT_EQ(c.stats().basis, "chebyshev");
+  EXPECT_TRUE(c.converged());
+}
+
+TEST(AdmissionQueueTest, DrainCapsBatchWidthAtTheFusedPayload) {
+  // At s = 16 one allreduce fits only max_batch_columns(16) = 14 fused
+  // columns: a 16-job batchable run must execute as two batches instead of
+  // failing as one.
+  const sparse::CsrMatrix a = test_matrix(8);
+  krylov::SolverOptions opts = test_opts();
+  opts.s = 16;
+  opts.rtol = 1e-6;
+  opts.max_iterations = 400;
+  const std::size_t width = krylov::max_batch_columns(opts.s);
+  ASSERT_LT(width, 16u);
+  SessionConfig config;
+  config.ranks = 2;
+  Session session(a, config);
+  AdmissionQueue queue;
+  std::vector<std::unique_ptr<SolveContext>> jobs;
+  for (std::size_t j = 0; j < 16; ++j) {
+    jobs.push_back(
+        std::make_unique<SolveContext>("scg-sspmv", test_rhs(a, j), opts));
+    queue.submit(jobs.back().get());
+  }
+  EXPECT_EQ(session.drain(queue, 16), 16u);
+  EXPECT_EQ(session.team_runs(), 2u);
+  for (const auto& job : jobs) {
+    EXPECT_EQ(job->state(), JobState::kDone) << job->error();
+    EXPECT_TRUE(job->error().empty()) << job->error();
+  }
+}
+
 TEST(DeadlineTest, ExpiredJobIsDroppedWithDistinctTerminalState) {
   const sparse::CsrMatrix a = test_matrix();
   SessionConfig config;
@@ -707,6 +773,33 @@ TEST(ObservabilityTest, SlowRankFaultRaisesExactlyOneStragglerAlert) {
       found = true;
   EXPECT_TRUE(found);
   std::remove(alerts_path.c_str());
+}
+
+TEST(ObservabilityTest, CleanBatchRaisesNoStallAlert) {
+  // A 16-column batch interleaves its columns' residual checkpoints; the
+  // stall detector must keep one window per column, or converging columns
+  // compared against each other read as a plateau.
+  const sparse::CsrMatrix a = test_matrix(32);
+  krylov::SolverOptions opts = test_opts();
+  opts.rtol = 1e-6;
+  SessionConfig config;
+  config.ranks = 2;
+  Session session(a, config);
+  obs::anomaly::AlertSink alerts;
+  Observability obs;
+  obs.alerts = &alerts;
+  session.set_observability(obs);
+  std::vector<std::unique_ptr<SolveContext>> jobs;
+  std::vector<SolveContext*> ptrs;
+  for (std::size_t j = 0; j < 16; ++j) {
+    jobs.push_back(
+        std::make_unique<SolveContext>("scg-sspmv", test_rhs(a, j), opts));
+    ptrs.push_back(jobs.back().get());
+  }
+  session.solve_batch(ptrs);
+  for (const auto& job : jobs) ASSERT_TRUE(job->converged());
+  for (const obs::anomaly::Alert& alert : alerts.alerts())
+    EXPECT_NE(alert.family, "convergence_stall") << alert.message;
 }
 
 TEST(ObservabilityTest, ExpiredJobFlushesTerminalMetricsAndAlerts) {

@@ -18,12 +18,15 @@ With --alerts, additionally validates the JSONL alert stream:
     them blames rank R, and each carries a nonzero trace_id;
   * --max-straggler-per-trace N: at most N straggler alerts per trace_id.
     The detector fires once per rank per SOLVE, so pass 1 only when no job
-    is resubmitted (a step-limited context alerts once per submission).
+    is resubmitted (a step-limited context alerts once per submission);
+  * --expect-no-stall: no convergence_stall alert at all (clean, converging
+    solves -- batched ones included -- never plateau).
 
 Usage:
   check_trace.py TRACE.json [TRACE2.json ...] [--expect-ranks R]
                  [--alerts ALERTS.jsonl]
                  [--expect-straggler-rank R | --expect-no-straggler]
+                 [--expect-no-stall]
 
 Exits 0 when every check passes, 1 otherwise (each failure printed).
 """
@@ -111,7 +114,8 @@ def check_trace(path, expect_ranks, errors):
         fail(errors, path, "no complete (ph=X) spans")
 
 
-def check_alerts(path, expect_rank, expect_none, max_per_trace, errors):
+def check_alerts(path, expect_rank, expect_none, max_per_trace, no_stall,
+                 errors):
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = [ln for ln in f.read().splitlines() if ln.strip()]
@@ -119,6 +123,7 @@ def check_alerts(path, expect_rank, expect_none, max_per_trace, errors):
         fail(errors, path, f"unreadable: {e}")
         return
     stragglers = []
+    stalls = 0
     for i, line in enumerate(lines):
         try:
             alert = json.loads(line)
@@ -131,7 +136,11 @@ def check_alerts(path, expect_rank, expect_none, max_per_trace, errors):
                 fail(errors, path, f"line {i + 1}: missing field {key!r}")
         if alert.get("family") == "straggler":
             stragglers.append(alert)
+        elif alert.get("family") == "convergence_stall":
+            stalls += 1
 
+    if no_stall and stalls:
+        fail(errors, path, f"expected no convergence_stall alerts, found {stalls}")
     if expect_none:
         if stragglers:
             fail(errors, path,
@@ -169,6 +178,7 @@ def main():
     ap.add_argument("--expect-straggler-rank", type=int, default=None)
     ap.add_argument("--expect-no-straggler", action="store_true")
     ap.add_argument("--max-straggler-per-trace", type=int, default=None)
+    ap.add_argument("--expect-no-stall", action="store_true")
     args = ap.parse_args()
 
     errors = []
@@ -177,7 +187,7 @@ def main():
     if args.alerts is not None:
         check_alerts(args.alerts, args.expect_straggler_rank,
                      args.expect_no_straggler, args.max_straggler_per_trace,
-                     errors)
+                     args.expect_no_stall, errors)
 
     if errors:
         for e in errors:
