@@ -6,8 +6,6 @@
 
 namespace pipescg::fault {
 
-thread_local Injector* Injector::tls_current_ = nullptr;
-
 Injector::Injector(std::vector<FaultSpec> specs, int rank)
     : specs_(std::move(specs)), rank_(rank) {
   // Slow faults compose multiplicatively and are consulted per kernel via

@@ -2,10 +2,11 @@
 //
 // One Injector is constructed per rank thread from a shared parsed
 // --fault-spec list and installed thread-locally (Injector::Install, the
-// same pattern as obs::Profiler): the runtime's hook points -- par::Comm
-// (allreduce post, halo exchange) and krylov::SpmdEngine (SPMV / PC output)
-// -- consult Injector::current() and pay a single thread-local null check
-// when no injector is installed, so a clean run is unperturbed.
+// obs::ThreadSlot every per-thread observer uses): the runtime's hook
+// points -- par::Comm (allreduce post, halo exchange) and
+// krylov::SpmdEngine (SPMV / PC output) -- consult Injector::current() and
+// pay a single thread-local null check when no injector is installed, so a
+// clean run is unperturbed.
 //
 // Every fault is deterministic: events are counted per (rank, target) and a
 // fault fires exactly when its 0-based `iter` index comes up; SDC entry and
@@ -35,6 +36,7 @@
 #include "pipescg/base/error.hpp"
 #include "pipescg/base/rng.hpp"
 #include "pipescg/fault/spec.hpp"
+#include "pipescg/obs/slot.hpp"
 
 namespace pipescg::fault {
 
@@ -44,7 +46,7 @@ class RankDeath : public Error {
   explicit RankDeath(const std::string& what) : Error(what) {}
 };
 
-class Injector {
+class Injector : public obs::ThreadSlot<Injector> {
  public:
   /// `specs` is the shared parsed --fault-spec list; `rank` selects which
   /// entries apply to this thread.
@@ -68,30 +70,10 @@ class Injector {
   /// Count one batched halo exchange.
   void on_halo_exchange() { on_event(FaultTarget::kHalo, {}); }
 
-  // --- thread-local installation ------------------------------------------
-  static Injector* current() { return tls_current_; }
-
-  /// RAII: installs an injector as the calling thread's current() and
-  /// restores the previous one on destruction.  nullptr is a no-op install.
-  class Install {
-   public:
-    explicit Install(Injector* inj) : prev_(tls_current_) {
-      tls_current_ = inj;
-    }
-    ~Install() { tls_current_ = prev_; }
-    Install(const Install&) = delete;
-    Install& operator=(const Install&) = delete;
-
-   private:
-    Injector* prev_;
-  };
-
  private:
   void on_event(FaultTarget target, std::span<double> out);
   void fire(const FaultSpec& spec, std::span<double> out);
   void corrupt(const FaultSpec& spec, std::span<double> out);
-
-  static thread_local Injector* tls_current_;
 
   std::vector<FaultSpec> specs_;
   int rank_;

@@ -33,6 +33,7 @@ struct Column {
       : sys(engine, basis) {}
 
   sstep::ScgColumn sys;
+  sstep::TelemetrySnapshot telem;
   SolveStats stats;
   std::vector<double> values;  // this column's slice of the fused batch
   double tol = 0.0;
@@ -51,6 +52,11 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
   const std::size_t k = bs.size();
   PIPESCG_CHECK(k >= 1 && xs.size() == k,
                 "scg_multi_solve needs matching, non-empty b/x column sets");
+  // The gap monitor needs the single-RHS attempt runner's rollback and
+  // replacement machinery; a batch column would silently ignore it.
+  PIPESCG_CHECK(opts.gap_tol <= 0.0,
+                "scg_multi_solve does not run the residual-gap monitor "
+                "(gap_tol > 0); solve gap-monitored systems singly");
   const int s = opts.s;
   const std::size_t su = static_cast<std::size_t>(s);
 
@@ -147,7 +153,7 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
   for (std::size_t i = 0; i < k; ++i) {
     Column& c = cols[i];
     c.rnorm = layout.norm(c.values, opts.norm);
-    if (!detail::checkpoint(c.stats, opts, 0, c.rnorm, i)) {
+    if (!detail::checkpoint(c.stats, opts, 0, c.rnorm, i, c.telem.take(s))) {
       c.active = false;  // non-finite initial batch: frozen, breakdown set
       continue;
     }
@@ -176,6 +182,7 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
         c.active = false;
         continue;
       }
+      c.telem.capture(sw);
       c.sys.step(engine, sw, bs[i], xs[i], /*replace=*/false, scratch);
     }
 
@@ -186,7 +193,8 @@ std::vector<SolveStats> scg_multi_solve(Engine& engine,
       if (!c.active) continue;
       c.iterations += su;
       c.rnorm = layout.norm(c.values, opts.norm);
-      if (!detail::checkpoint(c.stats, opts, c.iterations, c.rnorm, i)) {
+      if (!detail::checkpoint(c.stats, opts, c.iterations, c.rnorm, i,
+                              c.telem.take(s))) {
         c.stats.stagnated = true;
         c.active = false;
         continue;

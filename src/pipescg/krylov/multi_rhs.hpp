@@ -45,7 +45,8 @@ std::size_t max_batch_columns(int s, bool shifted_basis);
 /// clean runs -- see the header comment).  Unlike the single-RHS drivers
 /// the batched driver does not roll back on detected faults: a column whose
 /// scalar work fails or whose residual goes non-finite is frozen with
-/// breakdown flagged, and the remaining columns continue.
+/// breakdown flagged, and the remaining columns continue.  Nor does it run
+/// the residual-gap monitor: opts.gap_tol > 0 throws pipescg::Error.
 std::vector<SolveStats> scg_multi_solve(Engine& engine,
                                         std::span<const Vec> bs,
                                         std::span<Vec> xs,

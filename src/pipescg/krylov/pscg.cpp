@@ -46,7 +46,7 @@ SolveStats PscgSolver::solve(Engine& engine, const Vec& b, Vec& x,
   TelemetrySnapshot telem;
   std::size_t iterations = 0;
   double rnorm = layout.norm(values, opts.norm);
-  telem.checkpoint(stats, opts, 0, rnorm, s);
+  detail::checkpoint(stats, opts, 0, rnorm, 0, telem.take(s));
 
   while (rnorm >= tol && iterations < opts.max_iterations) {
     const ScalarWork::Result sw = scalar_work.step(layout, values);
@@ -86,7 +86,8 @@ SolveStats PscgSolver::solve(Engine& engine, const Vec& b, Vec& x,
 
     iterations += su;
     rnorm = layout.norm(values, opts.norm);
-    if (!telem.checkpoint(stats, opts, iterations, rnorm, s)) break;
+    if (!detail::checkpoint(stats, opts, iterations, rnorm, 0, telem.take(s)))
+      break;
     engine.mark_iteration(iterations - 1, rnorm);
 
     std::swap(v, v_next);

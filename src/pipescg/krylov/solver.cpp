@@ -4,12 +4,12 @@
 #include <cmath>
 
 #include "pipescg/base/error.hpp"
-#include "pipescg/obs/anomaly.hpp"
-#include "pipescg/obs/tracing.hpp"
 
 namespace pipescg::krylov {
 
-std::string to_string(NormType norm) {
+namespace {
+
+const char* norm_name(NormType norm) {
   switch (norm) {
     case NormType::kPreconditioned:
       return "preconditioned";
@@ -20,6 +20,10 @@ std::string to_string(NormType norm) {
   }
   return "?";
 }
+
+}  // namespace
+
+std::string to_string(NormType norm) { return norm_name(norm); }
 
 namespace detail {
 
@@ -47,19 +51,19 @@ void finalize_stats(Engine& engine, const Vec& b, const Vec& x,
 }
 
 bool checkpoint(SolveStats& stats, const SolverOptions& opts,
-                std::size_t iteration, double rnorm, std::size_t column) {
+                std::size_t iteration, double rnorm, std::size_t column,
+                obs::Checkpoint readings) {
   stats.history.emplace_back(iteration, rnorm);
-  // Request-scoped observers: the per-rank tracer records the checkpoint
-  // span, the anomaly probe publishes this rank's exposed-wait total and
-  // (on rank 0) runs the straggler/stall evaluations.  Both are pure
-  // observers -- no collectives, no solver state -- so a monitored solve
-  // iterates bitwise identically to a bare one.  Every driver (s-step,
-  // pipelined, plain CG, batched multi-RHS) funnels through here.
-  if (obs::tracing::Tracer* tracer = obs::tracing::Tracer::current())
-    tracer->checkpoint(iteration, rnorm);
-  if (obs::anomaly::MidSolveProbe* probe =
-          obs::anomaly::MidSolveProbe::current())
-    probe->on_checkpoint(iteration, rnorm, column);
+  // Every driver (s-step, pipelined, plain CG, batched multi-RHS) funnels
+  // through here, and the observers only read -- no collectives, no solver
+  // state -- so a monitored solve iterates bitwise identically to a bare
+  // one.
+  readings.iteration = iteration;
+  readings.rnorm = rnorm;
+  readings.column = column;
+  readings.norm_flavor = norm_name(opts.norm);
+  readings.recoveries = stats.recoveries;
+  obs::checkpoint(readings);
   if (opts.monitor) opts.monitor(IterationInfo{iteration, rnorm});
   if (!std::isfinite(rnorm)) {
     stats.breakdown = true;

@@ -20,6 +20,7 @@
 
 #include "pipescg/krylov/basis.hpp"
 #include "pipescg/krylov/engine.hpp"
+#include "pipescg/obs/telemetry.hpp"
 
 namespace pipescg::krylov {
 
@@ -169,16 +170,19 @@ double threshold(const SolveStats& stats, const SolverOptions& opts);
 void finalize_stats(Engine& engine, const Vec& b, const Vec& x,
                     const SolverOptions& opts, SolveStats& stats);
 
-/// Append a residual checkpoint to the history and fire the monitor.
+/// The one residual checkpoint every driver makes: append to the history,
+/// feed every installed observer (obs::checkpoint) and fire the monitor.
 /// Returns false -- after flagging stats.breakdown -- when rnorm is not
 /// finite: the recurrences have been destroyed (overflow, SDC, division by
 /// a vanished scalar) and every subsequent iterate would be garbage, so
 /// callers must stop (or roll back) instead of iterating on NaNs.
 /// `column` identifies the right-hand side in a batched multi-RHS solve
 /// (0 for single-RHS drivers), so per-column observers keep the k residual
-/// streams apart.
+/// streams apart.  `readings` carries an s-step driver's scalar-work
+/// readings (s, alpha, ||B||_F, gap); the identity fields are filled here.
 bool checkpoint(SolveStats& stats, const SolverOptions& opts,
-                std::size_t iteration, double rnorm, std::size_t column = 0);
+                std::size_t iteration, double rnorm, std::size_t column = 0,
+                obs::Checkpoint readings = {});
 
 /// Divergence detector shared by the pipelined s-step drivers: tracks the
 /// best residual norm seen and declares divergence when the current norm is

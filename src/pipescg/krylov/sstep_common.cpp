@@ -7,7 +7,6 @@
 
 #include "pipescg/base/error.hpp"
 #include "pipescg/la/cholesky.hpp"
-#include "pipescg/obs/metrics.hpp"
 #include "pipescg/obs/profiler.hpp"
 #include "pipescg/obs/telemetry.hpp"
 
@@ -283,23 +282,14 @@ void TelemetrySnapshot::capture(const ScalarWork::Result& sw) {
   beta_fro = std::sqrt(sum_sq);
 }
 
-bool TelemetrySnapshot::checkpoint(SolveStats& stats,
-                                   const SolverOptions& opts,
-                                   std::size_t iteration, double rnorm,
-                                   int cur_s) {
-  // Fire when either observer is installed: the JSONL telemetry sink or the
-  // live metrics gauges (alpha/beta only reach the former; capture() stays
-  // gated on it).  Gap fields are one-shot: consumed by this record, reset
-  // to the -1 "no check" sentinel for the next one.
-  const double tr = true_rnorm;
-  const double gap = residual_gap;
-  true_rnorm = -1.0;
-  residual_gap = -1.0;
-  if (obs::ConvergenceTelemetry::current() != nullptr ||
-      obs::metrics::LiveSolve::current() != nullptr)
-    obs::telemetry_checkpoint(iteration, rnorm, to_string(opts.norm), cur_s,
-                              stats.recoveries, alpha, beta_fro, tr, gap);
-  return detail::checkpoint(stats, opts, iteration, rnorm);
+obs::Checkpoint TelemetrySnapshot::take(int s) {
+  obs::Checkpoint cp;
+  cp.s = s;
+  cp.alpha = alpha;
+  cp.beta_fro = beta_fro;
+  cp.true_rnorm = std::exchange(true_rnorm, -1.0);
+  cp.gap = std::exchange(residual_gap, -1.0);
+  return cp;
 }
 
 void record_basis(SolveStats& stats, const BasisSpec& spec) {
@@ -366,7 +356,7 @@ SolveStats AttemptRunner::run(int s,
 }
 
 Step AttemptRunner::checkpoint(int s_att) {
-  if (telem.checkpoint(stats, opts, iterations, rnorm, s_att))
+  if (detail::checkpoint(stats, opts, iterations, rnorm, 0, telem.take(s_att)))
     return Step::kGo;
   if (recovery.active()) {
     stats.breakdown = false;  // rolling back, not stopping

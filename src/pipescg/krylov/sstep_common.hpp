@@ -226,18 +226,17 @@ void copy_block(Engine& engine, const VecBlock& src, VecBlock& dst,
 
 /// Per-iteration convergence telemetry staging for the s-step drivers.
 /// capture() snapshots the most recent scalar work (alpha step sizes and
-/// ||B||_F); checkpoint() emits one obs telemetry record with that snapshot
-/// and then records the residual checkpoint (detail::checkpoint), so the
-/// JSONL stream has exactly one record per residual-history entry.  The
-/// telemetry half is a no-op (one thread-local check) when no telemetry
-/// sink is installed.
+/// ||B||_F); take() hands that snapshot to the next residual checkpoint
+/// (detail::checkpoint), so the telemetry stream has exactly one record per
+/// residual-history entry.  capture() is a no-op (one thread-local check)
+/// when no telemetry sink is installed.
 struct TelemetrySnapshot {
   std::vector<double> alpha;
   double beta_fro = 0.0;
   // Residual-gap monitor readings for the NEXT checkpoint only (set by
-  // note_gap on the outer iteration where a gap check resolves; cleared
-  // after the record is emitted so later records honestly report -1 = "no
-  // check this iteration").
+  // note_gap on the outer iteration where a gap check resolves; cleared by
+  // take() so later records honestly report -1 = "no check this
+  // iteration").
   double true_rnorm = -1.0;
   double residual_gap = -1.0;
 
@@ -246,10 +245,8 @@ struct TelemetrySnapshot {
     true_rnorm = true_norm;
     residual_gap = gap;
   }
-  /// Telemetry record + detail::checkpoint; returns the latter's verdict
-  /// (false on a non-finite residual, breakdown flagged in `stats`).
-  bool checkpoint(SolveStats& stats, const SolverOptions& opts,
-                  std::size_t iteration, double rnorm, int cur_s);
+  /// The checkpoint readings at block size `s`; consumes the gap readings.
+  obs::Checkpoint take(int s);
 };
 
 /// Stamp the resolved basis family and shift interval into `stats`.

@@ -239,8 +239,6 @@ std::optional<Alert> QueuePressureMonitor::on_dispatch(
 
 // --- MidSolveProbe ----------------------------------------------------------
 
-thread_local MidSolveProbe* MidSolveProbe::tls_current_ = nullptr;
-
 void MidSolveProbe::on_checkpoint(std::uint64_t iteration, double rnorm,
                                   std::size_t column) {
   if (shared_ == nullptr) return;
@@ -272,11 +270,5 @@ void MidSolveProbe::emit(Alert alert) {
   if (shared_->on_alert != nullptr)
     shared_->on_alert(shared_->on_alert_arg, alert);
 }
-
-MidSolveProbe::Install::Install(MidSolveProbe* p) : prev_(tls_current_) {
-  if (p != nullptr) tls_current_ = p;
-}
-
-MidSolveProbe::Install::~Install() { tls_current_ = prev_; }
 
 }  // namespace pipescg::obs::anomaly

@@ -46,6 +46,8 @@
 #include <string_view>
 #include <vector>
 
+#include "pipescg/obs/slot.hpp"
+
 namespace pipescg::obs::anomaly {
 
 /// One structured alert.  `value` / `threshold` carry the measurement that
@@ -218,7 +220,7 @@ class QueuePressureMonitor {
 /// sink.  Alert counters live in the service layer (see
 /// service::Session::set_observability), reached via the emit callback
 /// captured in `on_alert`.
-class MidSolveProbe {
+class MidSolveProbe : public ThreadSlot<MidSolveProbe> {
  public:
   struct Shared {
     StragglerDetector* straggler = nullptr;  ///< shared across ranks
@@ -235,28 +237,14 @@ class MidSolveProbe {
 
   int rank() const { return rank_; }
 
-  /// Called from krylov::detail::checkpoint on the owning rank thread;
+  /// Called from obs::checkpoint on the owning rank thread;
   /// `column` is the right-hand side of a batched solve (0 otherwise).
   void on_checkpoint(std::uint64_t iteration, double rnorm,
                      std::size_t column = 0);
 
-  static MidSolveProbe* current() { return tls_current_; }
-
-  class Install {
-   public:
-    explicit Install(MidSolveProbe* p);
-    ~Install();
-    Install(const Install&) = delete;
-    Install& operator=(const Install&) = delete;
-
-   private:
-    MidSolveProbe* prev_;
-  };
-
  private:
   void emit(Alert alert);
 
-  static thread_local MidSolveProbe* tls_current_;
   Shared* shared_;
   int rank_;
 };

@@ -37,7 +37,8 @@ void ChromeTraceBuilder::name_thread(int pid, int tid,
 
 void ChromeTraceBuilder::add_span(int pid, int tid, const std::string& name,
                                   const std::string& category,
-                                  double start_seconds, double end_seconds) {
+                                  double start_seconds, double end_seconds,
+                                  json::Value args) {
   json::Value e = json::Value::object();
   e.set("ph", "X");
   e.set("name", name);
@@ -46,6 +47,7 @@ void ChromeTraceBuilder::add_span(int pid, int tid, const std::string& name,
   e.set("tid", tid);
   e.set("ts", start_seconds * 1e6);  // microseconds
   e.set("dur", (end_seconds - start_seconds) * 1e6);
+  if (!args.is_null()) e.set("args", std::move(args));
   events()->push_back(std::move(e));
 }
 

@@ -1,9 +1,11 @@
 // Chrome trace-event JSON export (load the file in Perfetto / about:tracing).
 //
-// Two sources render into the same format so they are visually comparable:
+// Every Chrome trace the repo writes goes through ChromeTraceBuilder, so the
+// sources are visually comparable:
 //   * a measured obs::SolveProfile -- one track (tid) per SPMD rank;
 //   * a modeled sim::Timeline schedule -- one track for the representative
-//     rank clock plus a "network" track showing each collective in flight.
+//     rank clock plus a "network" track showing each collective in flight;
+//   * a merged per-request trace (tracing::merge_trace).
 // Each source becomes one trace "process" (pid), so a single file can hold
 // the measured run and its model side by side.
 #pragma once
@@ -28,9 +30,10 @@ class ChromeTraceBuilder {
   void name_thread(int pid, int tid, const std::string& name);
 
   /// One complete ("X") event; times in seconds, converted to microseconds.
+  /// A non-null `args` object becomes the event's args.
   void add_span(int pid, int tid, const std::string& name,
                 const std::string& category, double start_seconds,
-                double end_seconds);
+                double end_seconds, json::Value args = {});
 
   json::Value build() const { return doc_; }
 

@@ -1,9 +1,7 @@
 #include "pipescg/obs/metrics.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -98,29 +96,6 @@ std::string render_labels_with(const Labels& labels, const std::string& key,
   return render_labels(extended);
 }
 
-// p-quantile from the log2 buckets, geometric interpolation inside the
-// bucket (same estimator as LatencyHistogram::quantile, clamped to the
-// bucket bounds since the atomic histogram tracks no exact extrema).
-double histogram_quantile(const Histogram& h, double q) {
-  const std::uint64_t count = h.count();
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto rank = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count))));
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-    const std::uint64_t b = h.bucket(i);
-    if (b == 0) continue;
-    if (seen + b >= rank) {
-      const double frac =
-          static_cast<double>(rank - seen) / static_cast<double>(b);
-      return LatencyHistogram::bucket_floor_seconds(i) * std::exp2(frac);
-    }
-    seen += b;
-  }
-  return LatencyHistogram::bucket_floor_seconds(Histogram::kBuckets - 1);
-}
-
 const char* type_name(int t) {
   switch (t) {
     case 0:
@@ -139,32 +114,6 @@ void Counter::add(double delta) {
   double cur = value_.load(std::memory_order_relaxed);
   while (!value_.compare_exchange_weak(cur, cur + delta,
                                        std::memory_order_relaxed)) {
-  }
-}
-
-void Histogram::observe(double seconds) {
-  const double ns = seconds * 1e9;
-  std::size_t bucket = 0;
-  if (ns >= 1.0) {
-    const auto ticks = static_cast<std::uint64_t>(std::min(ns, 9.2e18));
-    bucket = static_cast<std::size_t>(63 - std::countl_zero(ticks | 1U));
-  }
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + seconds,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-void Histogram::merge_from(const LatencyHistogram& h) {
-  for (std::size_t i = 0; i < kBuckets; ++i)
-    if (h.bucket(i) != 0)
-      buckets_[i].fetch_add(h.bucket(i), std::memory_order_relaxed);
-  count_.fetch_add(h.count(), std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + h.sum_seconds(),
-                                     std::memory_order_relaxed)) {
   }
 }
 
@@ -258,9 +207,10 @@ std::string Registry::prometheus() const {
         case Type::kHistogram: {
           // Cumulative buckets, non-empty ones only (64 log2 buckets per
           // series would dominate the exposition), closed by +Inf.
+          const LatencyHistogram h = s->histogram.snapshot();
           std::uint64_t cumulative = 0;
-          for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-            const std::uint64_t b = s->histogram.bucket(i);
+          for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+            const std::uint64_t b = h.bucket(i);
             if (b == 0) continue;
             cumulative += b;
             out += name + "_bucket" +
@@ -272,11 +222,11 @@ std::string Registry::prometheus() const {
           }
           out += name + "_bucket" +
                  render_labels_with(s->labels, "le", "+Inf") + " " +
-                 std::to_string(s->histogram.count()) + "\n";
+                 std::to_string(h.count()) + "\n";
           out += name + "_sum" + label_key + " " +
-                 json::number_to_string(s->histogram.sum()) + "\n";
+                 json::number_to_string(h.sum_seconds()) + "\n";
           out += name + "_count" + label_key + " " +
-                 std::to_string(s->histogram.count()) + "\n";
+                 std::to_string(h.count()) + "\n";
           break;
         }
       }
@@ -305,13 +255,15 @@ json::Value Registry::to_json() const {
         case Type::kGauge:
           entry.set("value", s->gauge.value());
           break;
-        case Type::kHistogram:
-          entry.set("count", s->histogram.count());
-          entry.set("sum_seconds", s->histogram.sum());
-          entry.set("p50_seconds", histogram_quantile(s->histogram, 0.50));
-          entry.set("p95_seconds", histogram_quantile(s->histogram, 0.95));
-          entry.set("p99_seconds", histogram_quantile(s->histogram, 0.99));
+        case Type::kHistogram: {
+          const LatencyHistogram h = s->histogram.snapshot();
+          entry.set("count", h.count());
+          entry.set("sum_seconds", h.sum_seconds());
+          entry.set("p50_seconds", h.quantile(0.50));
+          entry.set("p95_seconds", h.quantile(0.95));
+          entry.set("p99_seconds", h.quantile(0.99));
           break;
+        }
       }
       series_arr.push_back(std::move(entry));
     }
@@ -615,8 +567,6 @@ void register_session(Registry& registry, const SessionSnapshot& snapshot,
 
 // --- live solve monitoring --------------------------------------------------
 
-thread_local LiveSolve* LiveSolve::tls_current_ = nullptr;
-
 LiveSolve::LiveSolve(Registry& registry, const Labels& base)
     : iteration_(registry.gauge("pipescg_live_iteration",
                                 "CG-equivalent iteration of the most recent "
@@ -649,11 +599,5 @@ void LiveSolve::checkpoint(std::uint64_t iteration, double rnorm, int s,
   if (gap >= 0.0) gap_.set(gap);
   checkpoints_.inc();
 }
-
-LiveSolve::Install::Install(LiveSolve* l) : prev_(tls_current_) {
-  if (l != nullptr) tls_current_ = l;
-}
-
-LiveSolve::Install::~Install() { tls_current_ = prev_; }
 
 }  // namespace pipescg::obs::metrics

@@ -23,14 +23,14 @@
 //     drift, AND the metric surface a dashboard would scrape.
 //
 // Thread-safety contract: cell handles returned by the registry are stable
-// for the registry's lifetime and their mutators are lock-free atomics, so
-// rank threads record concurrently while the MetricsSampler renders
-// snapshots from its own thread -- the design TSan validates in
-// tests/metrics_test.cpp.  Registration (name -> family lookup) takes a
-// mutex and belongs on the setup path, not in kernels.
+// for the registry's lifetime; counter and gauge mutators are lock-free
+// atomics and histograms take a per-series mutex, so rank threads record
+// concurrently while the MetricsSampler renders snapshots from its own
+// thread -- the design TSan validates in tests/metrics_test.cpp.
+// Registration (name -> family lookup) takes a mutex and belongs on the
+// setup path, not in kernels.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -45,6 +45,7 @@
 
 #include "pipescg/obs/json.hpp"
 #include "pipescg/obs/profiler.hpp"
+#include "pipescg/obs/slot.hpp"
 
 namespace pipescg::krylov {
 struct SolveStats;
@@ -80,29 +81,31 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Log2-bucketed distribution, mirroring obs::LatencyHistogram's bucket
-/// geometry (bucket i holds seconds in [2^i, 2^(i+1)) ns) but with atomic
-/// cells so observation and sampling can overlap.  Exported as a Prometheus
+/// Log2-bucketed distribution: an obs::LatencyHistogram behind a
+/// per-series mutex, so merges (setup and service threads) and sampling
+/// (the MetricsSampler thread) can overlap.  Exported as a Prometheus
 /// histogram: cumulative `_bucket{le=...}` series for non-empty buckets,
 /// plus `_sum` and `_count`.
 class Histogram {
  public:
-  static constexpr std::size_t kBuckets = LatencyHistogram::kBuckets;
-
-  void observe(double seconds);
+  void observe(double seconds) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    hist_.add(seconds);
+  }
   /// Bulk import of an already-merged profiler histogram.
-  void merge_from(const LatencyHistogram& h);
-
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  std::uint64_t bucket(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
+  void merge_from(const LatencyHistogram& h) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    hist_.merge(h);
+  }
+  /// Consistent copy of the distribution.
+  LatencyHistogram snapshot() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return hist_;
   }
 
  private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
+  mutable std::mutex mu_;
+  LatencyHistogram hist_;
 };
 
 /// The registry: named metric families, each holding labeled series.  A
@@ -156,8 +159,8 @@ class Registry {
 /// writes the exposition to `path` (atomic replace), so a long solve is
 /// observable while running -- point a node_exporter textfile collector (or
 /// `watch cat`) at the file.  start()/stop() are idempotent; the destructor
-/// stops.  Reads only atomic cells, so it is data-race-free against
-/// recording rank threads (TSan-checked).
+/// stops.  Reads only atomic cells and mutex-guarded histogram snapshots,
+/// so it is data-race-free against recording rank threads (TSan-checked).
 class MetricsSampler {
  public:
   MetricsSampler(const Registry& registry, std::string path, double period_ms);
@@ -244,15 +247,15 @@ void register_session(Registry& registry, const SessionSnapshot& snapshot,
 
 // --- live solve monitoring --------------------------------------------------
 
-/// Mid-solve gauges fed from the s-step drivers' checkpoint hook
-/// (obs::telemetry_checkpoint forwards here): current iteration, residual
-/// norm, block size s, recovery count and -- when the residual-gap monitor
-/// is on -- the latest predicted-vs-true gap (`pipescg_residual_gap`),
-/// updated atomically so the MetricsSampler exposes a running solve's
-/// trajectory, not just its post-mortem.  Install on the rank-0 thread
+/// Mid-solve gauges fed from every driver's checkpoint hook (obs::checkpoint
+/// forwards here): current iteration, residual norm, block size s, recovery
+/// count and -- when the residual-gap monitor is on -- the latest
+/// predicted-vs-true gap (`pipescg_residual_gap`), updated atomically so the
+/// MetricsSampler exposes a running solve's trajectory, not just its
+/// post-mortem.  Install on the rank-0 thread
 /// (same discipline as ConvergenceTelemetry: the scalar recurrences are
 /// replicated, so one rank suffices and the gauges stay single-writer).
-class LiveSolve {
+class LiveSolve : public ThreadSlot<LiveSolve> {
  public:
   LiveSolve(Registry& registry, const Labels& base = {});
 
@@ -261,23 +264,7 @@ class LiveSolve {
   void checkpoint(std::uint64_t iteration, double rnorm, int s,
                   std::uint64_t recoveries, double gap = -1.0);
 
-  static LiveSolve* current() { return tls_current_; }
-
-  /// RAII thread-local install; `l` may be nullptr (no-op install).
-  class Install {
-   public:
-    explicit Install(LiveSolve* l);
-    ~Install();
-    Install(const Install&) = delete;
-    Install& operator=(const Install&) = delete;
-
-   private:
-    LiveSolve* prev_;
-  };
-
  private:
-  static thread_local LiveSolve* tls_current_;
-
   Gauge& iteration_;
   Gauge& rnorm_;
   Gauge& s_;

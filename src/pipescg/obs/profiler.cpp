@@ -8,8 +8,6 @@
 
 namespace pipescg::obs {
 
-thread_local Profiler* Profiler::tls_current_ = nullptr;
-
 const char* to_string(SpanKind kind) {
   switch (kind) {
     case SpanKind::kSpmvLocal:
@@ -95,27 +93,6 @@ double LatencyHistogram::quantile(double q) const {
   }
   return max_;
 }
-
-Profiler::KindTotal Profiler::total(SpanKind kind) const {
-  KindTotal t;
-  for (const Span& s : spans_) {
-    if (s.kind == kind) {
-      t.seconds += s.end - s.start;
-      ++t.count;
-    }
-  }
-  return t;
-}
-
-Profiler::Install::Install(Profiler* p) : prev_(tls_current_) {
-#if !defined(PIPESCG_DISABLE_PROFILING)
-  if (p != nullptr) tls_current_ = p;
-#else
-  (void)p;
-#endif
-}
-
-Profiler::Install::~Install() { tls_current_ = prev_; }
 
 SolveProfile::SolveProfile(int ranks) {
   const Profiler::Clock::time_point epoch = Profiler::Clock::now();

@@ -14,10 +14,10 @@
 // Each rank thread installs its Profiler (Profiler::Install, done by
 // SpmdEngine's constructor when a profiler is passed), and the runtime's
 // instrumentation points (par::Comm, sparse::DistCsr, SpmdEngine) record
-// into Profiler::current() -- a thread-local pointer, so recording needs no
-// synchronization and a disabled run costs one thread-local null check per
-// hook.  Defining PIPESCG_DISABLE_PROFILING makes current() a constexpr
-// nullptr and compiles every hook out entirely.
+// into Profiler::current() -- a thread-local pointer (obs::ThreadSlot), so
+// recording needs no synchronization and a disabled run costs one
+// thread-local null check per hook.  Defining PIPESCG_DISABLE_PROFILING
+// makes current() a constexpr nullptr and compiles every hook out entirely.
 #pragma once
 
 #include <array>
@@ -26,6 +26,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "pipescg/obs/slot.hpp"
 
 namespace pipescg::obs {
 
@@ -92,7 +94,7 @@ class LatencyHistogram {
   double max_ = 0.0;
 };
 
-class Profiler {
+class Profiler : public ThreadSlot<Profiler> {
  public:
   using Clock = std::chrono::steady_clock;
 
@@ -165,38 +167,24 @@ class Profiler {
 
   const std::vector<Span>& spans() const { return spans_; }
 
-  /// Accumulated seconds and span count for one kind.
+  /// Accumulated seconds and span count for one kind: a view of the kind's
+  /// histogram, which adds the same durations in the same order a scan of
+  /// spans() would.
   struct KindTotal {
     double seconds = 0.0;
     std::size_t count = 0;
   };
-  KindTotal total(SpanKind kind) const;
-
-  // --- thread-local installation ------------------------------------------
+  KindTotal total(SpanKind kind) const {
+    const LatencyHistogram& h = histogram(kind);
+    return {h.sum_seconds(), h.count()};
+  }
 
 #if defined(PIPESCG_DISABLE_PROFILING)
+  // Hides ThreadSlot::current(): every hook folds to a constant null.
   static constexpr Profiler* current() { return nullptr; }
-#else
-  static Profiler* current() { return tls_current_; }
 #endif
 
-  /// RAII: installs a profiler as the calling thread's Profiler::current()
-  /// and restores the previous one on destruction.  `p` may be nullptr (a
-  /// no-op install), which lets call sites install unconditionally.
-  class Install {
-   public:
-    explicit Install(Profiler* p);
-    ~Install();
-    Install(const Install&) = delete;
-    Install& operator=(const Install&) = delete;
-
-   private:
-    Profiler* prev_;
-  };
-
  private:
-  static thread_local Profiler* tls_current_;
-
   int rank_;
   Clock::time_point epoch_;
   std::vector<Span> spans_;

@@ -4,60 +4,33 @@
 #include <utility>
 
 #include "pipescg/base/error.hpp"
+#include "pipescg/obs/anomaly.hpp"
 #include "pipescg/obs/json.hpp"
 #include "pipescg/obs/metrics.hpp"
+#include "pipescg/obs/tracing.hpp"
 
 namespace pipescg::obs {
 
-void telemetry_checkpoint(std::uint64_t iteration, double rnorm,
-                          std::string_view norm_flavor, int s,
-                          std::uint64_t recoveries,
-                          std::span<const double> alpha, double beta_fro,
-                          double true_rnorm, double gap) {
+void checkpoint(const Checkpoint& cp) {
+  if (tracing::Tracer* tracer = tracing::Tracer::current())
+    tracer->checkpoint(cp.iteration, cp.rnorm);
+  if (anomaly::MidSolveProbe* probe = anomaly::MidSolveProbe::current())
+    probe->on_checkpoint(cp.iteration, cp.rnorm, cp.column);
   if (metrics::LiveSolve* live = metrics::LiveSolve::current())
-    live->checkpoint(iteration, rnorm, s, recoveries, gap);
+    live->checkpoint(cp.iteration, cp.rnorm, cp.s, cp.recoveries, cp.gap);
   ConvergenceTelemetry* sink = ConvergenceTelemetry::current();
   if (sink == nullptr) return;
   TelemetryRecord rec;
-  rec.iteration = iteration;
-  rec.rnorm = rnorm;
-  rec.norm_flavor = std::string(norm_flavor);
-  rec.s = s;
-  rec.recoveries = recoveries;
-  rec.alpha.assign(alpha.begin(), alpha.end());
-  rec.beta_fro = beta_fro;
-  rec.true_rnorm = true_rnorm;
-  rec.gap = gap;
+  rec.iteration = cp.iteration;
+  rec.rnorm = cp.rnorm;
+  rec.norm_flavor = std::string(cp.norm_flavor);
+  rec.s = cp.s;
+  rec.recoveries = cp.recoveries;
+  rec.alpha.assign(cp.alpha.begin(), cp.alpha.end());
+  rec.beta_fro = cp.beta_fro;
+  rec.true_rnorm = cp.true_rnorm;
+  rec.gap = cp.gap;
   sink->record(std::move(rec));
-}
-
-thread_local ConvergenceTelemetry* ConvergenceTelemetry::tls_current_ =
-    nullptr;
-
-ConvergenceTelemetry::ConvergenceTelemetry(std::string method,
-                                           std::size_t capacity)
-    : method_(std::move(method)), capacity_(capacity) {
-  PIPESCG_CHECK(capacity_ > 0, "telemetry ring capacity must be positive");
-}
-
-void ConvergenceTelemetry::record(TelemetryRecord rec) {
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(rec));
-    ++size_;
-    return;
-  }
-  // Full: overwrite the oldest slot and advance the ring head.
-  ring_[head_] = std::move(rec);
-  head_ = (head_ + 1) % capacity_;
-  ++dropped_;
-}
-
-std::vector<TelemetryRecord> ConvergenceTelemetry::records() const {
-  std::vector<TelemetryRecord> out;
-  out.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i)
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  return out;
 }
 
 std::string ConvergenceTelemetry::to_jsonl() const {
@@ -121,12 +94,5 @@ std::vector<TelemetryRecord> ConvergenceTelemetry::parse_jsonl(
   }
   return out;
 }
-
-ConvergenceTelemetry::Install::Install(ConvergenceTelemetry* t)
-    : prev_(tls_current_) {
-  if (t != nullptr) tls_current_ = t;
-}
-
-ConvergenceTelemetry::Install::~Install() { tls_current_ = prev_; }
 
 }  // namespace pipescg::obs

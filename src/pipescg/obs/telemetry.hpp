@@ -9,13 +9,13 @@
 // literature tracks: a collapsing alpha or an exploding ||B||_F precedes a
 // residual-norm plateau by several outer iterations.
 //
-// Mirrors the Profiler's thread-local install discipline: the s-step
-// drivers call telemetry_checkpoint() next to every residual checkpoint,
-// and the hook costs exactly one thread-local null check when no telemetry
-// sink is installed -- so unobserved runs stay bit-identical.  Records land
-// in a fixed-capacity ring buffer (oldest dropped, drop count kept) and are
-// written as JSON Lines: one self-contained object per line, greppable and
-// streamable, the natural shape for per-iteration series.
+// Every driver reaches the sink through the one checkpoint hook below
+// (obs::checkpoint, called by krylov::detail::checkpoint at every residual
+// checkpoint), which costs one thread-local null check per observer that
+// is not installed -- so unobserved runs stay bit-identical.  Records land
+// in a newest-kept obs::Ring (drop count kept) and are written as JSON
+// Lines: one self-contained object per line, greppable and streamable, the
+// natural shape for per-iteration series.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +23,11 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "pipescg/obs/ring.hpp"
+#include "pipescg/obs/slot.hpp"
 
 namespace pipescg::obs {
 
@@ -47,23 +51,24 @@ struct TelemetryRecord {
   double gap = -1.0;
 };
 
-class ConvergenceTelemetry {
+class ConvergenceTelemetry : public ThreadSlot<ConvergenceTelemetry> {
  public:
   static constexpr std::size_t kDefaultCapacity = 65536;
 
   explicit ConvergenceTelemetry(std::string method = "",
-                                std::size_t capacity = kDefaultCapacity);
+                                std::size_t capacity = kDefaultCapacity)
+      : method_(std::move(method)), ring_(capacity) {}
 
-  void record(TelemetryRecord rec);
+  void record(TelemetryRecord rec) { ring_.push(std::move(rec)); }
 
   const std::string& method() const { return method_; }
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return size_; }
+  std::size_t capacity() const { return ring_.capacity(); }
+  std::size_t size() const { return ring_.size(); }
   /// Records overwritten because the ring filled (oldest-first eviction).
-  std::size_t dropped() const { return dropped_; }
+  std::size_t dropped() const { return ring_.dropped(); }
 
   /// Retained records in chronological order.
-  std::vector<TelemetryRecord> records() const;
+  std::vector<TelemetryRecord> records() const { return ring_.items(); }
 
   /// JSON Lines: one object per retained record, newline-terminated.  When
   /// the telemetry was constructed with a method label every line carries a
@@ -75,43 +80,32 @@ class ConvergenceTelemetry {
   /// Throws base::Error on a malformed line.
   static std::vector<TelemetryRecord> parse_jsonl(std::string_view text);
 
-  // --- thread-local installation (same discipline as Profiler) ------------
-
-  static ConvergenceTelemetry* current() { return tls_current_; }
-
-  /// RAII: installs a sink as the calling thread's current() and restores
-  /// the previous one on destruction.  `t` may be nullptr (no-op install).
-  class Install {
-   public:
-    explicit Install(ConvergenceTelemetry* t);
-    ~Install();
-    Install(const Install&) = delete;
-    Install& operator=(const Install&) = delete;
-
-   private:
-    ConvergenceTelemetry* prev_;
-  };
-
  private:
-  static thread_local ConvergenceTelemetry* tls_current_;
-
   std::string method_;
-  std::size_t capacity_;
-  std::vector<TelemetryRecord> ring_;
-  std::size_t head_ = 0;  // index of the oldest retained record
-  std::size_t size_ = 0;
-  std::size_t dropped_ = 0;
+  Ring<TelemetryRecord> ring_;
 };
 
-/// Driver-side hook: records a checkpoint into the installed sink (if any)
-/// and forwards iteration/rnorm/s/recoveries (and, when a gap check
-/// resolved this checkpoint, the residual gap) to the installed live
-/// metrics gauges (metrics::LiveSolve::current(), if any).  Costs two
-/// thread-local null checks when neither observer is installed.
-void telemetry_checkpoint(std::uint64_t iteration, double rnorm,
-                          std::string_view norm_flavor, int s,
-                          std::uint64_t recoveries,
-                          std::span<const double> alpha, double beta_fro,
-                          double true_rnorm = -1.0, double gap = -1.0);
+/// One driver checkpoint as the observers see it.  krylov::detail::checkpoint
+/// fills the identity fields; the s-step drivers add their scalar-work
+/// readings (s, alpha, ||B||_F, gap), which other drivers leave at the
+/// defaults.
+struct Checkpoint {
+  std::uint64_t iteration = 0;  // CG-equivalent iteration
+  double rnorm = 0.0;
+  std::size_t column = 0;       // right-hand side of a batched solve
+  std::string_view norm_flavor;
+  int s = 0;                    // 0 = the method has no s parameter
+  std::uint64_t recoveries = 0;
+  std::span<const double> alpha;
+  double beta_fro = 0.0;
+  double true_rnorm = -1.0;     // gap readings; -1 = no check resolved here
+  double gap = -1.0;
+};
+
+/// The one checkpoint hook, fanned out to every installed observer: the
+/// request Tracer (an outer_iteration span), the MidSolveProbe (straggler
+/// and stall detectors), the LiveSolve gauges and the ConvergenceTelemetry
+/// sink.  Each absent observer costs one thread-local null check.
+void checkpoint(const Checkpoint& cp);
 
 }  // namespace pipescg::obs

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "pipescg/base/error.hpp"
+#include "pipescg/obs/chrome_trace.hpp"
 #include "pipescg/obs/profiler.hpp"
 
 namespace pipescg::obs::tracing {
@@ -17,40 +18,7 @@ TraceContext new_trace() {
   return ctx;
 }
 
-// --- SpanRing ---------------------------------------------------------------
-
-SpanRing::SpanRing(std::size_t capacity, std::uint64_t tag) : tag_(tag) {
-  PIPESCG_CHECK(capacity > 0, "span ring capacity must be positive");
-  ring_.resize(capacity);
-}
-
-std::uint64_t SpanRing::mint() {
-  return (tag_ + 1) * (std::uint64_t{1} << 32) + ++next_seq_;
-}
-
-void SpanRing::push(TraceSpan span) {
-  if (size_ < ring_.size()) {
-    ring_[(head_ + size_) % ring_.size()] = std::move(span);
-    ++size_;
-    return;
-  }
-  // Full: overwrite the oldest retained span (newest-kept eviction).
-  ring_[head_] = std::move(span);
-  head_ = (head_ + 1) % ring_.size();
-  ++dropped_;
-}
-
-std::vector<TraceSpan> SpanRing::spans() const {
-  std::vector<TraceSpan> out;
-  out.reserve(size_);
-  for (std::size_t i = 0; i < size_; ++i)
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  return out;
-}
-
 // --- Tracer -----------------------------------------------------------------
-
-thread_local Tracer* Tracer::tls_current_ = nullptr;
 
 Tracer::Tracer(TraceContext ctx, SpanRing& ring, Clock::time_point base)
     : ctx_(ctx), ring_(ring), epoch_(Clock::now()) {
@@ -91,12 +59,6 @@ void Tracer::checkpoint(std::uint64_t iteration, double rnorm) {
          {{"iteration", static_cast<double>(iteration)}, {"rnorm", rnorm}});
   last_checkpoint_ = t;
 }
-
-Tracer::Install::Install(Tracer* t) : prev_(tls_current_) {
-  if (t != nullptr) tls_current_ = t;
-}
-
-Tracer::Install::~Install() { tls_current_ = prev_; }
 
 // --- TraceScope -------------------------------------------------------------
 
@@ -176,7 +138,7 @@ json::Value merge_trace(const RequestTrace& trace) {
   for (int t = 0; t < tracks; ++t) {
     const SpanRing& ring = t < trace.ranks() ? trace.rank_ring(t)
                                              : trace.service_ring();
-    ring_spans.push_back(ring.spans());
+    ring_spans.push_back(ring.items());
     for (const TraceSpan& s : ring_spans.back()) {
       events.push_back(Event{t, s.start + ring.clock_offset(),
                              s.end + ring.clock_offset(), &s});
@@ -191,52 +153,25 @@ json::Value merge_trace(const RequestTrace& trace) {
                      return a.span->span_id < b.span->span_id;
                    });
 
-  json::Value doc = json::Value::object();
-  doc.set("trace_id", static_cast<double>(trace.context().trace_id));
-  doc.set("displayTimeUnit", "ms");
-  json::Value list = json::Value::array();
-  {
-    json::Value meta = json::Value::object();
-    meta.set("ph", "M");
-    meta.set("pid", 0);
-    meta.set("name", "process_name");
-    json::Value args = json::Value::object();
-    args.set("name", "request " +
-                         std::to_string(trace.context().trace_id));
-    meta.set("args", std::move(args));
-    list.push_back(std::move(meta));
-  }
-  for (int t = 0; t < tracks; ++t) {
-    json::Value meta = json::Value::object();
-    meta.set("ph", "M");
-    meta.set("pid", 0);
-    meta.set("tid", t);
-    meta.set("name", "thread_name");
-    json::Value args = json::Value::object();
-    args.set("name", t < trace.ranks() ? "rank " + std::to_string(t)
-                                       : std::string("service"));
-    meta.set("args", std::move(args));
-    list.push_back(std::move(meta));
-  }
+  ChromeTraceBuilder builder;
+  const double trace_id = static_cast<double>(trace.context().trace_id);
+  builder.name_process(0, "request " +
+                              std::to_string(trace.context().trace_id));
+  for (int t = 0; t < tracks; ++t)
+    builder.name_thread(0, t,
+                        t < trace.ranks() ? "rank " + std::to_string(t)
+                                          : std::string("service"));
   for (const Event& e : events) {
-    json::Value ev = json::Value::object();
-    ev.set("ph", "X");
-    ev.set("pid", 0);
-    ev.set("tid", e.tid);
-    ev.set("name", e.span->name);
-    ev.set("cat", "request");
-    ev.set("ts", e.start * 1e6);
-    ev.set("dur", (e.end - e.start) * 1e6);
     json::Value args = json::Value::object();
-    args.set("trace_id", static_cast<double>(trace.context().trace_id));
+    args.set("trace_id", trace_id);
     args.set("span_id", static_cast<double>(e.span->span_id));
-    args.set("parent_span_id",
-             static_cast<double>(e.span->parent_span_id));
+    args.set("parent_span_id", static_cast<double>(e.span->parent_span_id));
     for (const auto& [key, value] : e.span->args) args.set(key, value);
-    ev.set("args", std::move(args));
-    list.push_back(std::move(ev));
+    builder.add_span(0, e.tid, e.span->name, "request", e.start, e.end,
+                     std::move(args));
   }
-  doc.set("traceEvents", std::move(list));
+  json::Value doc = builder.build();
+  doc.set("trace_id", trace_id);
   return doc;
 }
 

@@ -16,9 +16,9 @@
 //   RecoveryManager         ->  recovery_* marks when a rollback fires
 //
 // Each rank thread records into its OWN fixed-capacity SpanRing -- a
-// single-writer ring with no locks and no allocation after construction, so
-// tracing never perturbs rank lockstep (the bitwise-identity contract:
-// a traced solve iterates identically to an untraced one).  When the
+// single-writer newest-kept ring with no locks, so tracing never perturbs
+// rank lockstep (the bitwise-identity contract: a traced solve iterates
+// identically to an untraced one).  When the
 // request completes, the service thread merges every ring into ONE
 // clock-aligned Chrome/Perfetto trace file: each ring carries the offset of
 // its local clock epoch from the request's base epoch, merge_trace()
@@ -41,6 +41,8 @@
 #include <vector>
 
 #include "pipescg/obs/json.hpp"
+#include "pipescg/obs/ring.hpp"
+#include "pipescg/obs/slot.hpp"
 
 namespace pipescg::obs {
 class SolveProfile;
@@ -74,32 +76,26 @@ struct TraceSpan {
   std::vector<std::pair<std::string, double>> args;
 };
 
-/// Fixed-capacity single-writer span ring.  Exactly one thread pushes at a
-/// time (the owning rank thread during the solve, the service thread during
-/// merge); eviction keeps the NEWEST spans -- when the ring is full the
-/// oldest span is overwritten and dropped() counts it, so a pathologically
-/// long solve degrades to "most recent window" instead of unbounded memory.
-class SpanRing {
+/// One track's span ring: a newest-kept obs::Ring (exactly one thread
+/// pushes at a time -- the owning rank thread during the solve, the service
+/// thread during merge) that also mints span ids and carries its clock's
+/// offset from the request base epoch.
+class SpanRing : public Ring<TraceSpan> {
  public:
   static constexpr std::size_t kDefaultCapacity = 8192;
 
   /// `tag` scopes minted span ids (rank index, or ranks for the service
   /// track) so ids from different rings never collide.
   explicit SpanRing(std::size_t capacity = kDefaultCapacity,
-                    std::uint64_t tag = 0);
+                    std::uint64_t tag = 0)
+      : Ring(capacity), tag_(tag) {}
 
   std::uint64_t tag() const { return tag_; }
-  std::size_t capacity() const { return ring_.size(); }
-  std::size_t size() const { return size_; }
-  std::size_t dropped() const { return dropped_; }
 
   /// Next span id for this ring: (tag + 1) * 2^32 + sequence.
-  std::uint64_t mint();
-
-  void push(TraceSpan span);
-
-  /// Retained spans in push order (oldest retained first).
-  std::vector<TraceSpan> spans() const;
+  std::uint64_t mint() {
+    return (tag_ + 1) * (std::uint64_t{1} << 32) + ++next_seq_;
+  }
 
   /// Seconds the owning clock's epoch sits AFTER the request base epoch;
   /// merge_trace() adds it to every span time.  Settable directly so tests
@@ -108,12 +104,8 @@ class SpanRing {
   double clock_offset() const { return clock_offset_; }
 
  private:
-  std::vector<TraceSpan> ring_;
   std::uint64_t tag_;
   std::uint64_t next_seq_ = 0;
-  std::size_t head_ = 0;     // oldest retained slot once full
-  std::size_t size_ = 0;
-  std::size_t dropped_ = 0;
   double clock_offset_ = 0.0;
 };
 
@@ -123,7 +115,7 @@ class SpanRing {
 /// tracing is off).  Owns a parent stack seeded with the request context's
 /// parent span; TraceScope pushes/pops it so nested scopes parent
 /// correctly.
-class Tracer {
+class Tracer : public ThreadSlot<Tracer> {
  public:
   using Clock = std::chrono::steady_clock;
 
@@ -155,28 +147,14 @@ class Tracer {
   std::uint64_t mark(std::string name,
                      std::vector<std::pair<std::string, double>> args = {});
 
-  /// Called by obs::telemetry_checkpoint on every rank at every outer
-  /// iteration: records an `outer_iteration` span covering the time since
-  /// the previous checkpoint (or since installation for the first one),
-  /// annotated with the iteration count and residual norm.
+  /// Called by obs::checkpoint on every rank at every outer iteration:
+  /// records an `outer_iteration` span covering the time since the previous
+  /// checkpoint (or since installation for the first one), annotated with
+  /// the iteration count and residual norm.
   void checkpoint(std::uint64_t iteration, double rnorm);
-
-  static Tracer* current() { return tls_current_; }
-
-  class Install {
-   public:
-    explicit Install(Tracer* t);
-    ~Install();
-    Install(const Install&) = delete;
-    Install& operator=(const Install&) = delete;
-
-   private:
-    Tracer* prev_;
-  };
 
  private:
   friend class TraceScope;
-  static thread_local Tracer* tls_current_;
 
   TraceContext ctx_;
   SpanRing& ring_;

@@ -10,6 +10,10 @@ bool batchable(const SolveContext& a, const SolveContext& b) {
   // singly.
   if (a.method() != "scg-sspmv" || b.method() != "scg-sspmv") return false;
   if (a.step_limit() != 0 || b.step_limit() != 0) return false;
+  // Only the single-RHS attempt runner honours the residual-gap monitor
+  // (scg_multi_solve rejects gap_tol > 0), so a gap-monitored job runs
+  // solo.  Session::drain also catches the session-wide default.
+  if (a.options().gap_tol > 0.0 || b.options().gap_tol > 0.0) return false;
   // A batch runs every column with its head's options, so everything the
   // solve reads must match -- the basis spec included, or a Chebyshev job
   // queued behind a monomial one would silently run monomial.
@@ -23,7 +27,6 @@ bool batchable(const SolveContext& a, const SolveContext& b) {
          ba.lambda_max == bb.lambda_max &&
          ba.power_iterations == bb.power_iterations &&
          ba.interval_ratio == bb.interval_ratio &&
-         oa.gap_tol == ob.gap_tol &&
          oa.gap_check_period == ob.gap_check_period;
 }
 

@@ -27,8 +27,10 @@ namespace pipescg::service {
 /// True when two contexts may share one multi-RHS batch: same method with a
 /// batched driver ("scg-sspmv" is the one multi-RHS-capable method today),
 /// identical convergence contract (s, rtol, atol, norm, max_iterations, no
-/// step limit) and identical stability settings (basis spec, gap_tol,
+/// step limit) and identical stability settings (basis spec,
 /// gap_check_period) -- a batch runs every column with its head's options.
+/// A job with its own gap_tol > 0 is batchable with nothing: only the
+/// single-RHS drivers run the residual-gap monitor.
 bool batchable(const SolveContext& a, const SolveContext& b);
 
 class AdmissionQueue {

@@ -85,7 +85,13 @@ void Session::solve_batch(std::span<SolveContext* const> ctxs) {
     PIPESCG_CHECK(batchable(*ctxs[0], *ctxs[i]),
                   "solve_batch contexts are not mutually batchable "
                   "(method/s/tolerance/norm/max_iterations must match, no "
-                  "step limit)");
+                  "step limit, no gap monitor)");
+  // Under a session-wide gap monitor every job runs solo: only the
+  // single-RHS attempt runner honours gap_tol.
+  if (resolved_options(*ctxs[0]).gap_tol > 0.0) {
+    for (SolveContext* ctx : ctxs) solve(*ctx);
+    return;
+  }
   execute(ctxs);
 }
 
@@ -149,10 +155,16 @@ std::size_t Session::drain(AdmissionQueue& queue, std::size_t max_batch) {
     if (batch.empty()) break;
     // The fused dot payload bounds the batch width (wider at large s and
     // for shifted bases); a longer run executes as consecutive batches.
+    // Gap-monitored jobs (the session-wide default, which batchable()
+    // cannot see) run one at a time.
     const krylov::SolverOptions head = resolved_options(*batch.front());
-    const std::size_t width = std::max<std::size_t>(
-        1, krylov::max_batch_columns(
-               head.s, head.basis.type != krylov::BasisType::kMonomial));
+    const std::size_t width =
+        head.gap_tol > 0.0
+            ? 1
+            : std::max<std::size_t>(
+                  1, krylov::max_batch_columns(
+                         head.s,
+                         head.basis.type != krylov::BasisType::kMonomial));
     for (std::size_t i = 0; i < batch.size(); i += width) {
       const std::span<SolveContext* const> chunk =
           std::span(batch).subspan(i, std::min(width, batch.size() - i));

@@ -173,8 +173,8 @@ void DistStencil3D::apply_powers(par::Comm& comm,
   std::copy(x_local.begin(), x_local.end(),
             deep_cur_.begin() + static_cast<std::ptrdiff_t>(deep * plane));
   comm.exchange(deep_pulls_, x_local, deep_cur_);
-  if (obs::Profiler* prof = obs::Profiler::current())
-    ++prof->counters().mpk_blocks;
+  obs::Profiler* prof = obs::Profiler::current();
+  if (prof != nullptr) ++prof->counters().mpk_blocks;
 
   for (std::size_t k = 1; k <= count; ++k) {
     // Shrinking onion: sweep k still computes the ghost planes the
@@ -183,8 +183,7 @@ void DistStencil3D::apply_powers(par::Comm& comm,
     const std::size_t gz_lo = z_begin_ - std::min(margin, z_begin_);
     const std::size_t gz_hi = std::min(nz_, z_end_ + margin);
     {
-      obs::SpanScope span(obs::Profiler::current(),
-                          obs::SpanKind::kSpmvLocal);
+      obs::SpanScope span(prof, obs::SpanKind::kSpmvLocal);
       stencil_sweep(gz_lo, gz_hi, deep_base, deep_cur_.data(), deep_base,
                     deep_next_.data());
     }

@@ -218,7 +218,8 @@ void MatrixPowers::apply(par::Comm& comm, std::span<const double> x_local,
   // The one halo epoch of the whole block: pull ghost layers 1..depth.
   comm.exchange(pulls_, x_local,
                 std::span<double>(scratch.cur).subspan(nlocal_));
-  if (obs::Profiler* prof = obs::Profiler::current()) {
+  obs::Profiler* prof = obs::Profiler::current();
+  if (prof != nullptr) {
     ++prof->counters().mpk_blocks;
     prof->counters().spmv_bytes += bytes_per_block(count);
   }
@@ -239,7 +240,7 @@ void MatrixPowers::apply(par::Comm& comm, std::span<const double> x_local,
 
   for (std::size_t k = 1; k <= count; ++k) {
     {
-      obs::SpanScope span(obs::Profiler::current(), obs::SpanKind::kSpmvLocal);
+      obs::SpanScope span(prof, obs::SpanKind::kSpmvLocal);
       if (format_ == SparseFormat::kSell) {
         sell_.apply(scratch.cur,
                     std::span<double>(scratch.next.data(), nlocal_));

@@ -16,6 +16,7 @@
 #include "pipescg/obs/analysis.hpp"
 #include "pipescg/obs/chrome_trace.hpp"
 #include "pipescg/obs/json.hpp"
+#include "pipescg/obs/metrics.hpp"
 #include "pipescg/obs/profiler.hpp"
 #include "pipescg/obs/report.hpp"
 #include "pipescg/obs/telemetry.hpp"
@@ -290,15 +291,25 @@ TEST(TelemetryTest, RingBufferEvictsOldestAndKeepsChronologicalOrder) {
 }
 
 TEST(TelemetryTest, CheckpointHookIsThreadLocalAndNullSafe) {
-  // With no sink installed the hook is a no-op (must not crash).
-  telemetry_checkpoint(1, 1.0, "natural", 2, 0, {}, 0.0);
+  // With no observer installed the one checkpoint hook is a no-op (must not
+  // crash).
+  Checkpoint cp;
+  cp.iteration = 1;
+  cp.rnorm = 1.0;
+  cp.norm_flavor = "natural";
+  cp.s = 2;
+  checkpoint(cp);
   ConvergenceTelemetry t;
   EXPECT_EQ(ConvergenceTelemetry::current(), nullptr);
   {
     const ConvergenceTelemetry::Install install(&t);
     EXPECT_EQ(ConvergenceTelemetry::current(), &t);
     const double alpha[] = {0.5};
-    telemetry_checkpoint(3, 0.25, "natural", 2, 0, alpha, 1.0);
+    cp.iteration = 3;
+    cp.rnorm = 0.25;
+    cp.alpha = alpha;
+    cp.beta_fro = 1.0;
+    checkpoint(cp);
     // Another thread must not see this thread's installation.
     ConvergenceTelemetry* seen = &t;
     std::thread([&] { seen = ConvergenceTelemetry::current(); }).join();
@@ -425,6 +436,56 @@ TEST(OverlapTest, SpmdPipeScgRunShowsPositiveOverlapAndTelemetry) {
       EXPECT_DOUBLE_EQ(recs[i].rnorm, stats.history[i].second);
   }
   EXPECT_EQ(recs.back().norm_flavor, krylov::to_string(opts.norm));
+}
+
+// The one checkpoint hook feeds every observer for every registered method:
+// one telemetry record and one live checkpoint per residual-history entry.
+TEST(TelemetryTest, EveryMethodFeedsOneRecordPerHistoryEntry) {
+  const sparse::CsrMatrix a =
+      sparse::assemble_stencil2d(sparse::stencil_poisson5(), 12, 12, "p");
+  krylov::SolverOptions opts;
+  opts.rtol = 1e-8;
+  opts.max_iterations = 2000;
+  for (const std::string& method : krylov::solver_names()) {
+    metrics::Registry registry;
+    metrics::LiveSolve live(registry, {{"method", method}});
+    ConvergenceTelemetry telem(method);
+    krylov::SolveStats stats;
+    {
+      const ConvergenceTelemetry::Install telemetry_install(&telem);
+      const metrics::LiveSolve::Install live_install(&live);
+      precond::JacobiPreconditioner pc(a);
+      krylov::SerialEngine engine(
+          a, krylov::solver_uses_preconditioner(method) ? &pc : nullptr);
+      krylov::Vec ones = engine.new_vec();
+      for (std::size_t i = 0; i < ones.size(); ++i) ones[i] = 1.0;
+      krylov::Vec b = engine.new_vec();
+      engine.apply_op(ones, b);
+      krylov::Vec x = engine.new_vec();
+      stats = krylov::make_solver(method)->solve(engine, b, x, opts);
+    }
+    ASSERT_FALSE(stats.history.empty()) << method;
+    const std::vector<TelemetryRecord> recs = telem.records();
+    ASSERT_EQ(recs.size(), stats.history.size()) << method;
+    // Verified acceptance overwrites a history entry whose recurred norm
+    // crossed the tolerance with the true residual; the telemetry keeps the
+    // recurred value the solver steered by.  Every other entry is bitwise.
+    const double tol = std::max(opts.rtol * stats.b_norm, opts.atol);
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      EXPECT_EQ(recs[i].iteration, stats.history[i].first)
+          << method << " entry " << i;
+      if (recs[i].rnorm >= tol) {
+        EXPECT_EQ(recs[i].rnorm, stats.history[i].second)
+            << method << " entry " << i;
+      }
+    }
+    EXPECT_EQ(registry
+                  .counter("pipescg_live_checkpoints_total", "",
+                           {{"method", method}})
+                  .value(),
+              static_cast<double>(stats.history.size()))
+        << method;
+  }
 }
 
 // --- drift report ----------------------------------------------------------

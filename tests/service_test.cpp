@@ -542,6 +542,53 @@ TEST(SessionTest, StabilityDefaultsApplyWhenContextLeavesThemUnset) {
   EXPECT_EQ(picky.stats().basis, "newton");
 }
 
+TEST(SessionTest, DrainedGapMonitoredJobsRunTheMonitor) {
+  // Only the single-RHS attempt runner honours gap_tol, so a gap-monitored
+  // job must never run as a batch column -- whether it set gap_tol itself
+  // or inherited the session default (which batchable() cannot see).
+  const sparse::CsrMatrix a = test_matrix();
+  krylov::SolverOptions own = test_opts();
+  own.gap_tol = 1e-3;
+  for (const bool session_default : {false, true}) {
+    SessionConfig config;
+    config.ranks = 2;
+    if (session_default) config.gap_tol = 1e-3;
+    Session session(a, config);
+    const krylov::SolverOptions opts = session_default ? test_opts() : own;
+    SolveContext first("scg-sspmv", test_rhs(a, 0), opts);
+    SolveContext second("scg-sspmv", test_rhs(a, 1), opts);
+    AdmissionQueue queue;
+    queue.submit(&first);
+    queue.submit(&second);
+    EXPECT_EQ(session.drain(queue), 2u);
+    EXPECT_EQ(session.team_runs(), 2u)
+        << "session default " << session_default;
+    for (const SolveContext* ctx : {&first, &second}) {
+      ASSERT_EQ(ctx->state(), JobState::kDone);
+      EXPECT_TRUE(ctx->converged());
+      EXPECT_GT(ctx->stats().gap_checks, 0u)
+          << "session default " << session_default;
+    }
+  }
+}
+
+TEST(SessionTest, BatchedDriverRejectsTheGapMonitor) {
+  const sparse::CsrMatrix a = test_matrix();
+  krylov::SolverOptions opts = test_opts();
+  opts.gap_tol = 1e-3;
+  krylov::SerialEngine engine(a);
+  std::vector<krylov::Vec> bs;
+  std::vector<krylov::Vec> xs;
+  for (int j = 0; j < 2; ++j) {
+    bs.push_back(engine.new_vec());
+    xs.push_back(engine.new_vec());
+  }
+  EXPECT_THROW(
+      krylov::scg_multi_solve(engine, std::span<const krylov::Vec>(bs),
+                              std::span<krylov::Vec>(xs), opts),
+      Error);
+}
+
 TEST(SessionTest, SnapshotCarriesCountersAndHistograms) {
   const sparse::CsrMatrix a = test_matrix();
   SessionConfig config;

@@ -45,7 +45,7 @@ TEST(SpanRingTest, EvictionKeepsNewestSpans) {
                         static_cast<double>(i), static_cast<double>(i) + 0.5));
   EXPECT_EQ(ring.size(), 4u);
   EXPECT_EQ(ring.dropped(), 3u);
-  const std::vector<TraceSpan> spans = ring.spans();
+  const std::vector<TraceSpan> spans = ring.items();
   ASSERT_EQ(spans.size(), 4u);
   // The oldest three were evicted; retained spans keep push order.
   for (int i = 0; i < 4; ++i)
@@ -85,7 +85,7 @@ TEST(TracerTest, ScopesNestAndParentCorrectly) {
     EXPECT_EQ(tracer.current_parent(), outer_id);
   }
   EXPECT_EQ(tracer.current_parent(), 7u);
-  const std::vector<TraceSpan> spans = ring.spans();
+  const std::vector<TraceSpan> spans = ring.items();
   ASSERT_EQ(spans.size(), 2u);  // inner closes first
   EXPECT_EQ(spans[0].name, "inner");
   EXPECT_EQ(spans[0].parent_span_id, outer_id);
@@ -105,7 +105,7 @@ TEST(TracerTest, CheckpointRecordsIterationAndRnormArgs) {
   Tracer tracer(TraceContext{9, 0}, ring);
   tracer.checkpoint(3, 0.5);
   tracer.checkpoint(6, 0.25);
-  const std::vector<TraceSpan> spans = ring.spans();
+  const std::vector<TraceSpan> spans = ring.items();
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].name, "outer_iteration");
   ASSERT_EQ(spans[0].args.size(), 2u);
@@ -234,7 +234,7 @@ TEST(HookTest, DetailCheckpointFeedsTheInstalledTracer) {
   }
   // Uninstalled: no further spans.
   EXPECT_TRUE(krylov::detail::checkpoint(stats, opts, 8, 0.0625));
-  const std::vector<TraceSpan> spans = ring.spans();
+  const std::vector<TraceSpan> spans = ring.items();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].name, "outer_iteration");
   EXPECT_DOUBLE_EQ(spans[0].args[0].second, 4.0);
@@ -253,7 +253,7 @@ TEST(HookTest, RecoveryRollbackLeavesMarksOnTheTrace) {
     recovery.restore(x);
   }
   EXPECT_EQ(x[0], 1.0);
-  const std::vector<TraceSpan> spans = ring.spans();
+  const std::vector<TraceSpan> spans = ring.items();
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].name, "recovery_failure_admitted");
   EXPECT_EQ(spans[1].name, "recovery_rollback");
