@@ -215,9 +215,7 @@ void extend_chain(Engine& engine, const ShiftedBasis& basis, ChainView cols,
   for (std::size_t d = first; d < first + count; ++d) {
     const int k = static_cast<int>(d) - 1;
     engine.apply_op(cols[d - 1], scratch);
-    // One fused pass over the epilogue: previously copy + up to two axpys +
-    // scale, each a full sweep.  shift_combine replicates that chain's term
-    // guards and arithmetic order exactly (bitwise-identical columns).
+    // One pass, bitwise equal to the copy/axpy/axpy/scale chain.
     engine.shift_combine(cols[d], scratch, basis.theta(k), cols[d - 1],
                          k > 0 ? basis.sigma(k) : 0.0,
                          k > 0 ? &cols[d - 2] : nullptr, basis.gamma(k));
@@ -239,21 +237,9 @@ void extend_chain_pc(Engine& engine, const ShiftedBasis& basis, ChainView w,
 
 void combine_chain(Engine& engine, std::span<const double> coeffs,
                    ChainView cols, Vec& dst) {
-  engine.set_all(dst, 0.0);
-  // Pair consecutive nonzero terms so each pass over dst accumulates two
-  // columns (term order, and hence rounding, unchanged).
-  std::size_t pending = coeffs.size();  // sentinel: no term pending
-  for (std::size_t d = 0; d < coeffs.size(); ++d) {
-    if (coeffs[d] == 0.0) continue;
-    if (pending == coeffs.size()) {
-      pending = d;
-      continue;
-    }
-    engine.axpy_pair(dst, coeffs[pending], cols[pending], coeffs[d], cols[d]);
-    pending = coeffs.size();
-  }
-  if (pending != coeffs.size())
-    engine.axpy(dst, coeffs[pending], cols[pending]);
+  std::vector<const Vec*> terms;
+  for (std::size_t d = 0; d < coeffs.size(); ++d) terms.push_back(&cols[d]);
+  engine.lincomb(dst, nullptr, terms, coeffs, /*skip_zeros=*/true);
 }
 
 void apply_stability_cli(const CliParser& cli, SolverOptions& opts) {

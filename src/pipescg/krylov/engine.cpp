@@ -1,5 +1,7 @@
 #include "pipescg/krylov/engine.hpp"
 
+#include <algorithm>
+
 #include "pipescg/base/error.hpp"
 #include "pipescg/la/vector_kernels.hpp"
 
@@ -24,19 +26,19 @@ void Engine::apply_op_powers(const Vec& x, std::span<Vec> outs) {
 void Engine::copy(const Vec& x, Vec& y) {
   PIPESCG_CHECK(x.size() == y.size(), "copy size mismatch");
   const std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) y[i] = x[i];
+  la::lincomb(y.data(), x.data(), {}, {}, n);  // zero terms: a copy
   record_compute(0.0, 16.0 * n * global_scale());
 }
 
 void Engine::set_all(Vec& x, double a) {
   const std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) x[i] = a;
+  std::fill_n(x.data(), n, a);
   record_compute(0.0, 8.0 * n * global_scale());
 }
 
 void Engine::scale(Vec& x, double a) {
   const std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) x[i] *= a;
+  la::scale(x.data(), a, n);
   record_compute(1.0 * n * global_scale(), 16.0 * n * global_scale());
 }
 
@@ -47,23 +49,10 @@ void Engine::axpy(Vec& y, double a, const Vec& x) {
   record_compute(2.0 * n * global_scale(), 24.0 * n * global_scale());
 }
 
-void Engine::axpy_pair(Vec& y, double a1, const Vec& x1, double a2,
-                       const Vec& x2) {
-  PIPESCG_CHECK(x1.size() == y.size() && x2.size() == y.size(),
-                "axpy_pair size mismatch");
-  const std::size_t n = y.size();
-  la::axpy_pair(y.data(), a1, x1.data(), a2, x2.data(), n);
-  // Two logical axpys (same events the unfused pair records).
-  record_compute(2.0 * n * global_scale(), 24.0 * n * global_scale());
-  record_compute(2.0 * n * global_scale(), 24.0 * n * global_scale());
-}
-
 void Engine::aypx(Vec& y, double a, const Vec& x) {
   PIPESCG_CHECK(x.size() == y.size(), "aypx size mismatch");
   const std::size_t n = x.size();
-  const double* xp = x.data();
-  double* yp = y.data();
-  for (std::size_t i = 0; i < n; ++i) yp[i] = xp[i] + a * yp[i];
+  la::aypx(y.data(), a, x.data(), n);
   record_compute(2.0 * n * global_scale(), 24.0 * n * global_scale());
 }
 
@@ -71,33 +60,49 @@ void Engine::waxpy(Vec& z, double a, const Vec& y, const Vec& x) {
   PIPESCG_CHECK(x.size() == y.size() && x.size() == z.size(),
                 "waxpy size mismatch");
   const std::size_t n = x.size();
-  const double* xp = x.data();
+  // Every branch computes x + a y per element; only the aliasing differs.
   const double* yp = y.data();
-  double* zp = z.data();
-  for (std::size_t i = 0; i < n; ++i) zp[i] = xp[i] + a * yp[i];
+  if (&z == &y)
+    la::aypx(z.data(), a, x.data(), n);
+  else
+    la::lincomb(z.data(), x.data(), {&a, 1}, {&yp, 1}, n);
   record_compute(2.0 * n * global_scale(), 24.0 * n * global_scale());
+}
+
+void Engine::lincomb(Vec& dst, const Vec* base,
+                     std::span<const Vec* const> cols,
+                     std::span<const double> coeff, bool skip_zeros) {
+  PIPESCG_CHECK(coeff.size() == cols.size(), "lincomb shape mismatch");
+  PIPESCG_CHECK(base == nullptr || base->size() == dst.size(),
+                "lincomb size mismatch");
+  const std::size_t n = dst.size();
+  std::vector<const double*> xs;
+  std::vector<double> c;
+  for (std::size_t k = 0; k < cols.size(); ++k) {
+    if (skip_zeros && coeff[k] == 0.0) continue;
+    PIPESCG_CHECK(cols[k]->size() == n, "lincomb size mismatch");
+    xs.push_back(cols[k]->data());
+    c.push_back(coeff[k]);
+  }
+  la::lincomb(dst.data(), base == nullptr ? nullptr : base->data(), c, xs, n);
+  if (base == nullptr)
+    record_compute(0.0, 8.0 * n * global_scale());
+  else if (base != &dst)
+    record_compute(0.0, 16.0 * n * global_scale());
+  for (std::size_t k = 0; k < xs.size(); ++k)
+    record_compute(2.0 * n * global_scale(), 24.0 * n * global_scale());
 }
 
 void Engine::block_maxpy(VecBlock& y_block, const VecBlock& x_block,
                          const la::DenseMatrix& b) {
   PIPESCG_CHECK(b.rows() == x_block.size() && b.cols() == y_block.size(),
                 "block_maxpy shape mismatch");
+  std::vector<const Vec*> xs;
+  for (const Vec& v : x_block) xs.push_back(&v);
+  std::vector<double> c(x_block.size());
   for (std::size_t j = 0; j < y_block.size(); ++j) {
-    Vec& y = y_block[j];
-    // Pair consecutive nonzero-coefficient columns so each pass over y
-    // accumulates two terms (axpy_pair); a leftover odd column falls back to
-    // a single axpy.  Term order -- and hence rounding -- is unchanged.
-    std::size_t pending = x_block.size();  // sentinel: no column pending
-    for (std::size_t k = 0; k < x_block.size(); ++k) {
-      if (b(k, j) == 0.0) continue;
-      if (pending == x_block.size()) {
-        pending = k;
-        continue;
-      }
-      axpy_pair(y, b(pending, j), x_block[pending], b(k, j), x_block[k]);
-      pending = x_block.size();
-    }
-    if (pending != x_block.size()) axpy(y, b(pending, j), x_block[pending]);
+    for (std::size_t k = 0; k < c.size(); ++k) c[k] = b(k, j);
+    lincomb(y_block[j], &y_block[j], xs, c, /*skip_zeros=*/true);
   }
 }
 
@@ -106,15 +111,13 @@ void Engine::block_combine(Vec& out, const Vec& base, const VecBlock& block,
   PIPESCG_CHECK(coeff.size() == block.size(), "block_combine shape mismatch");
   PIPESCG_CHECK(base.size() == out.size(), "block_combine size mismatch");
   const std::size_t n = out.size();
-  // Fused loop: one pass over memory regardless of s.
-  double* op = out.data();
-  const double* bp = base.data();
-  for (std::size_t i = 0; i < n; ++i) op[i] = bp[i];
+  std::vector<const double*> xs;
+  std::vector<double> c;
   for (std::size_t k = 0; k < block.size(); ++k) {
-    const double c = -coeff[k];
-    const double* tk = block[k].data();
-    for (std::size_t i = 0; i < n; ++i) op[i] += c * tk[i];
+    xs.push_back(block[k].data());
+    c.push_back(-coeff[k]);
   }
+  la::lincomb(out.data(), base.data(), c, xs, n);
   record_compute(2.0 * n * block.size() * global_scale(),
                  (16.0 + 8.0 * block.size()) * n * global_scale());
 }
@@ -122,10 +125,9 @@ void Engine::block_combine(Vec& out, const Vec& base, const VecBlock& block,
 void Engine::block_axpy(Vec& y, const VecBlock& block,
                         std::span<const double> coeff) {
   PIPESCG_CHECK(coeff.size() == block.size(), "block_axpy shape mismatch");
-  std::size_t k = 0;
-  for (; k + 1 < block.size(); k += 2)
-    axpy_pair(y, coeff[k], block[k], coeff[k + 1], block[k + 1]);
-  if (k < block.size()) axpy(y, coeff[k], block[k]);
+  std::vector<const Vec*> xs;
+  for (const Vec& v : block) xs.push_back(&v);
+  lincomb(y, &y, xs, coeff, /*skip_zeros=*/false);
 }
 
 void Engine::shift_combine(Vec& dst, const Vec& av, double theta,

@@ -106,22 +106,29 @@ class Engine {
   void scale(Vec& x, double a);
   /// y += a x
   void axpy(Vec& y, double a, const Vec& x);
-  /// y += a1 x1 + a2 x2, fused to one read-modify-write pass
-  /// (la::axpy_pair; bitwise identical to the two separate axpys).
-  void axpy_pair(Vec& y, double a1, const Vec& x1, double a2, const Vec& x2);
   /// y = x + a y
   void aypx(Vec& y, double a, const Vec& x);
   /// z = x + a y (z may alias x or y)
   void waxpy(Vec& z, double a, const Vec& y, const Vec& x);
 
   // --- block kernels for the s-step methods -------------------------------
-  /// Y(:, j) += sum_k X(:, k) * B(k, j); B is (X.size() x Y.size()).
+  /// dst = start + sum_k coeff[k] * *cols[k] in one pass (la::lincomb); the
+  /// start is *base, +0.0 (base == nullptr) or dst itself (base == &dst).
+  /// With skip_zeros, zero-coefficient terms are left out; without it they
+  /// are applied, so a NaN column under a zero weight still reaches the
+  /// fault gate.  Charged as the logical unfused sequence: a fill or copy
+  /// for the start (none in place), then one axpy per applied term.
+  void lincomb(Vec& dst, const Vec* base, std::span<const Vec* const> cols,
+               std::span<const double> coeff, bool skip_zeros);
+  /// Y(:, j) += sum_k X(:, k) * B(k, j), zero B(k, j) skipped; B is
+  /// (X.size() x Y.size()).
   void block_maxpy(VecBlock& y_block, const VecBlock& x_block,
                    const la::DenseMatrix& b);
-  /// out = base - sum_k coeff[k] * block[k]  (out may alias base)
+  /// out = base - sum_k coeff[k] * block[k], every term applied (out may
+  /// alias base); charged as one lumped event.
   void block_combine(Vec& out, const Vec& base, const VecBlock& block,
                      std::span<const double> coeff);
-  /// y += sum_k coeff[k] * block[k]
+  /// y += sum_k coeff[k] * block[k], every term applied.
   void block_axpy(Vec& y, const VecBlock& block,
                   std::span<const double> coeff);
   /// dst = (av - theta p1 [- sigma p2]) / gamma -- the shifted-basis

@@ -1,14 +1,14 @@
 // Fused BLAS-1 kernels for the s-step hot loops.
 //
-// The s-step drivers spend their vector time in two places: the per-outer
-// dot batch ((2s+1) moment pairs + s^2 cross pairs + norm extras, each pair
-// a separate sweep over rank-local memory in the naive form -- ~2s+ passes
-// per outer iteration) and the basis-build epilogue (copy + up to two axpys
-// + a scale per new column: up to 4 passes per column).  The kernels here
-// collapse each to ONE pass:
+// The s-step drivers spend their vector time in the per-outer dot batch
+// ((2s+1) moment pairs + s^2 cross pairs + norm extras, a separate sweep
+// per pair in the naive form), the basis-build epilogue (copy + up to two
+// axpys + a scale per new column) and the block updates of P, the power
+// towers and x (an axpy sweep per term).  The kernels here make each ONE
+// pass:
 //   * dot_batch     -- i-blocked so the working set stays cache-resident
 //                      across pairs: one memory pass per batch;
-//   * axpy_pair     -- two accumulates into y in one read-modify-write pass;
+//   * lincomb       -- dst = start + sum_k c_k x_k, under every block op;
 //   * shift_combine -- the three-term-recurrence epilogue
 //                      dst = (av - theta p1 - sigma p2) / gamma in one pass;
 //   * shift_combine_with_dots -- shift_combine plus dot partials of the new
@@ -16,17 +16,21 @@
 //
 // Fusion contract (DESIGN.md section 14): every fused kernel performs the
 // exact per-element floating-point operation sequence of its unfused
-// reference (per-pair sequential accumulation for dots, the copy/axpy/axpy/
-// scale chain for the basis step), so fused and unfused results are bitwise
-// identical -- fusion changes WHEN memory is touched, never WHAT arithmetic
-// runs.  set_fused_kernels_enabled(false) routes every call through the
-// unfused reference loops; the parity tests and the bench_kernels
-// fused-vs-unfused pairs rely on that switch.
+// reference, so fused and unfused results are bitwise identical -- fusion
+// changes WHEN memory is touched, never WHAT arithmetic runs.
+// set_fused_kernels_enabled(false) routes every call through the unfused
+// reference loops; the parity tests and bench_kernels rely on that switch.
 //
-// All loops take restrict-qualified pointers; Vec storage is 64-byte aligned
-// (AlignedAllocator below) so the compiler's vector code runs on aligned
-// streams.  The kernels themselves accept any alignment -- callers with
-// plain std::vector storage (ghost scratch, benches) are fine.
+// SIMD contract: vectorized == scalar, bit for bit.  The element-wise loops
+// take restrict-qualified pointers and compile to packed SSE/AVX code (the
+// build selects GCC's dynamic vectorizer cost model); each lane runs one
+// element's scalar operations in scalar order.  Reductions (every dot loop)
+// keep the scalar addition order: GCC may form the products in packed
+// registers but adds them one at a time, since a packed sum would
+// reassociate.  The build must never add -ffast-math, -fassociative-math or
+// -mfma (contraction changes rounding); tools/check_simd.py checks the
+// object code for both halves.  Vec storage is 64-byte aligned; the kernels
+// accept any alignment.
 #pragma once
 
 #include <cstddef>
@@ -84,6 +88,17 @@ void dot_batch(std::span<const DotView> pairs, std::size_t n,
 /// y += a x (restrict-qualified reference axpy).
 void axpy(double* y, double a, const double* x, std::size_t n);
 
+/// dst = start + sum_k coeff[k] xs[k] in one pass, each element summed in
+/// term order from start = base[i], +0.0 (base == nullptr) or dst[i]
+/// (base == dst).  Every term is applied, zero coefficients included (a NaN
+/// under one propagates).  xs may not alias dst.
+void lincomb(double* dst, const double* base, std::span<const double> coeff,
+             std::span<const double* const> xs, std::size_t n);
+
+/// x *= a; y = x + a y (y may not alias x).
+void scale(double* x, double a, std::size_t n);
+void aypx(double* y, double a, const double* x, std::size_t n);
+
 /// y += a1 x1; y += a2 x2 -- one pass fused, per-element order
 /// ((y + a1 x1) + a2 x2) identical to the two separate sweeps.
 void axpy_pair(double* y, double a1, const double* x1, double a2,
@@ -110,7 +125,7 @@ void shift_combine_with_dots(double* dst, const double* av, double theta,
                              std::span<double> partials);
 
 /// 64-byte-aligned allocator: Vec storage lands on cache-line/AVX-512
-/// boundaries so the fused kernels run on aligned streams.
+/// boundaries.
 template <typename T, std::size_t Alignment = 64>
 struct AlignedAllocator {
   using value_type = T;

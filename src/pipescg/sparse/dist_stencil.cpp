@@ -95,7 +95,6 @@ void DistStencil3D::stencil_sweep(std::size_t gz_lo, std::size_t gz_hi,
                                   std::ptrdiff_t dst_base_z,
                                   double* dst) const {
   const int r = stencil_.reach;
-  const std::size_t plane = nx_ * ny_;
   for (std::size_t gz = gz_lo; gz < gz_hi; ++gz) {
     const std::size_t dst_plane =
         static_cast<std::size_t>(static_cast<std::ptrdiff_t>(gz) -

@@ -2,11 +2,14 @@
 // bitwise identical to the scalar CSR loop (serial, distributed, and through
 // the matrix-powers kernel), the fused BLAS-1 kernels are bitwise identical
 // to their unfused reference chains (including through full s-step solves
-// over every basis family), the memory-pass counters pin the fusion claim
-// (2s+ sweeps -> 1 per dot batch, 4 -> 1 per basis step), and the byte
-// models the benches print are the SAME numbers the operators report.
+// over every basis family), lincomb and the block ops on it match the
+// scalar per-term loop with each caller's zero rule, the memory-pass
+// counters pin the fusion claim (2s+ sweeps -> 1 per dot batch, 4 -> 1 per
+// basis step), and the byte models the benches print are the SAME numbers
+// the operators report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -14,6 +17,7 @@
 #include <random>
 #include <vector>
 
+#include "pipescg/krylov/basis.hpp"
 #include "pipescg/krylov/registry.hpp"
 #include "pipescg/krylov/serial_engine.hpp"
 #include "pipescg/krylov/solver.hpp"
@@ -26,6 +30,7 @@
 #include "pipescg/sparse/partition.hpp"
 #include "pipescg/sparse/poisson125.hpp"
 #include "pipescg/sparse/sell_matrix.hpp"
+#include "pipescg/sparse/stencil.hpp"
 #include "pipescg/sparse/surrogates.hpp"
 
 namespace {
@@ -315,6 +320,173 @@ TEST(FusedKernelsTest, SstepSolvesBitwiseInvariantUnderFusion) {
         expect_bitwise(solutions[0], solutions[1], method);
       }
     }
+  }
+}
+
+// --- lincomb and the block ops built on it ------------------------------
+
+// The scalar per-term reference every lincomb caller is pinned against: each
+// element summed from its start, one term at a time, in term order.
+// `skip_zeros` drops zero-coefficient terms the way block_maxpy and
+// combine_chain do.
+std::vector<double> per_term_reference(
+    const std::vector<double>& start, const std::vector<double>& coeff,
+    const std::vector<std::vector<double>>& xs, bool skip_zeros) {
+  std::vector<double> out(start.size());
+  for (std::size_t i = 0; i < start.size(); ++i) {
+    double acc = start[i];
+    for (std::size_t k = 0; k < coeff.size(); ++k)
+      if (!skip_zeros || coeff[k] != 0.0) acc += coeff[k] * xs[k][i];
+    out[i] = acc;
+  }
+  return out;
+}
+
+// Lengths 1 and 3 are all SIMD remainder; 1027 is full vectors plus a
+// ragged tail in every kCombBlock-sized block.
+constexpr std::size_t kLincombLengths[] = {1, 3, 1027};
+
+// Coefficients with zeros in the middle and at the end, so pairing by two
+// meets a kept zero on either side.
+const std::vector<double> kLincombCoeff = {0.75, 0.0, -1.25, 2.5, 0.0};
+
+TEST(LincombTest, BitwiseMatchesPerTermReferenceInEveryStartMode) {
+  for (const std::size_t n : kLincombLengths) {
+    std::vector<std::vector<double>> xs;
+    std::vector<const double*> ptrs;
+    for (std::size_t k = 0; k < kLincombCoeff.size(); ++k)
+      xs.push_back(random_vector(n, static_cast<unsigned>(200 + k)));
+    for (const std::vector<double>& x : xs) ptrs.push_back(x.data());
+    const std::vector<double> base = random_vector(n, 210);
+    const std::vector<double> zero(n, 0.0);
+    for (std::size_t m = 0; m <= kLincombCoeff.size(); ++m) {
+      const std::span<const double> coeff(kLincombCoeff.data(), m);
+      const std::span<const double* const> terms(ptrs.data(), m);
+      const std::vector<double> c(coeff.begin(), coeff.end());
+      for (const bool fused : {true, false}) {
+        const la::FusedKernelsGuard guard(fused);
+        std::vector<double> dst = random_vector(n, 220);
+        la::lincomb(dst.data(), base.data(), coeff, terms, n);
+        expect_bitwise(dst, per_term_reference(base, c, xs, false), "base");
+        dst = random_vector(n, 221);
+        la::lincomb(dst.data(), nullptr, coeff, terms, n);
+        expect_bitwise(dst, per_term_reference(zero, c, xs, false), "zero");
+        dst = random_vector(n, 222);
+        const std::vector<double> before = dst;
+        la::lincomb(dst.data(), dst.data(), coeff, terms, n);
+        expect_bitwise(dst, per_term_reference(before, c, xs, false),
+                       "in place");
+      }
+    }
+  }
+}
+
+// The +0.0 start is a real addend: 0.0 + (-0.0) is +0.0, so a lone -0.0
+// product must come out +0.0 -- a kernel that started from the first
+// product would return -0.0.
+TEST(LincombTest, ZeroStartTurnsNegativeZeroProductPositive) {
+  const std::vector<double> x = {0.0, -0.0, 0.0};
+  const double coeff[1] = {-1.0};
+  const double* terms[1] = {x.data()};
+  for (const bool fused : {true, false}) {
+    const la::FusedKernelsGuard guard(fused);
+    std::vector<double> dst(3, 7.0);
+    la::lincomb(dst.data(), nullptr, coeff, terms, 3);
+    expect_bitwise(dst, {0.0, 0.0, 0.0}, "+0.0 start");
+  }
+}
+
+// Every term is applied, so a NaN column under a zero coefficient reaches
+// the result (0 * NaN = NaN) -- what lets the fault gate see it.
+TEST(LincombTest, KeptZeroCoefficientPropagatesNaN) {
+  for (const std::size_t n : kLincombLengths) {
+    const std::vector<double> x0 = random_vector(n, 230);
+    const std::vector<double> poisoned(
+        n, std::numeric_limits<double>::quiet_NaN());
+    const double coeff[2] = {1.5, 0.0};
+    const double* terms[2] = {x0.data(), poisoned.data()};
+    std::vector<double> dst(n);
+    la::lincomb(dst.data(), nullptr, coeff, terms, n);
+    for (const double v : dst) ASSERT_TRUE(std::isnan(v));
+  }
+}
+
+// The engine's block ops, each against the per-term reference with its own
+// zero rule: block_maxpy and combine_chain skip zero coefficients (a NaN
+// column under one never reaches the result), block_axpy and block_combine
+// apply them (it does).
+TEST(LincombTest, BlockOpsBitwiseMatchPerTermReference) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t n : kLincombLengths) {
+    const std::size_t nx = n == 1027 ? 13 : n;
+    const CsrMatrix a = sparse::assemble_stencil2d(
+        sparse::stencil_poisson5(), nx, n / nx, "p");
+    krylov::SerialEngine engine(a);
+    const std::size_t m = kLincombCoeff.size();
+    krylov::VecBlock block = engine.new_block(m);
+    std::vector<std::vector<double>> cols(m);
+    for (std::size_t k = 0; k < m; ++k) {
+      cols[k] = random_vector(n, static_cast<unsigned>(240 + k));
+      if (kLincombCoeff[k] == 0.0) cols[k][n / 2] = nan;  // under a zero
+      std::copy(cols[k].begin(), cols[k].end(), block[k].data());
+    }
+    const std::vector<double> start = random_vector(n, 250);
+    const auto to_vec = [](const krylov::Vec& v) {
+      return std::vector<double>(v.data(), v.data() + v.size());
+    };
+    const auto from = [&](const std::vector<double>& v) {
+      krylov::Vec out = engine.new_vec();
+      std::copy(v.begin(), v.end(), out.data());
+      return out;
+    };
+
+    // block_maxpy: column j of B is the coefficient list, zeros skipped.
+    krylov::VecBlock y = {from(start), from(start)};
+    la::DenseMatrix b(m, 2);
+    for (std::size_t k = 0; k < m; ++k) {
+      b(k, 0) = kLincombCoeff[k];
+      b(k, 1) = -kLincombCoeff[m - 1 - k];
+    }
+    engine.block_maxpy(y, block, b);
+    std::vector<double> c1(m);
+    for (std::size_t k = 0; k < m; ++k) c1[k] = b(k, 1);
+    expect_bitwise(to_vec(y[0]),
+                   per_term_reference(start, kLincombCoeff, cols, true),
+                   "block_maxpy col 0");
+    expect_bitwise(to_vec(y[1]), per_term_reference(start, c1, cols, true),
+                   "block_maxpy col 1");
+    for (const double v : to_vec(y[0])) ASSERT_FALSE(std::isnan(v));
+
+    // combine_chain: +0.0 start, zeros skipped.
+    krylov::Vec dst = from(start);
+    krylov::combine_chain(engine, kLincombCoeff,
+                          krylov::ChainView{&block, nullptr}, dst);
+    expect_bitwise(to_vec(dst),
+                   per_term_reference(std::vector<double>(n, 0.0),
+                                      kLincombCoeff, cols, true),
+                   "combine_chain");
+
+    // block_axpy: in place, zeros applied -- the NaN reaches y.
+    krylov::Vec acc = from(start);
+    engine.block_axpy(acc, block, kLincombCoeff);
+    const std::vector<double> axpy_ref =
+        per_term_reference(start, kLincombCoeff, cols, false);
+    expect_bitwise(to_vec(acc), axpy_ref, "block_axpy");
+    EXPECT_TRUE(std::isnan(acc[n / 2]));
+
+    // block_combine: base - sum, zeros applied, out distinct and in place.
+    std::vector<double> neg(m);
+    for (std::size_t k = 0; k < m; ++k) neg[k] = -kLincombCoeff[k];
+    const std::vector<double> combine_ref =
+        per_term_reference(start, neg, cols, false);
+    const krylov::Vec base = from(start);
+    krylov::Vec out = engine.new_vec();
+    engine.block_combine(out, base, block, kLincombCoeff);
+    expect_bitwise(to_vec(out), combine_ref, "block_combine");
+    EXPECT_TRUE(std::isnan(out[n / 2]));
+    krylov::Vec in_place = from(start);
+    engine.block_combine(in_place, in_place, block, kLincombCoeff);
+    expect_bitwise(to_vec(in_place), combine_ref, "block_combine in place");
   }
 }
 

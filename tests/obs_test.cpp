@@ -432,8 +432,9 @@ TEST(OverlapTest, SpmdPipeScgRunShowsPositiveOverlapAndTelemetry) {
   // recurred estimate the solver actually steered by.
   for (std::size_t i = 0; i < recs.size(); ++i) {
     EXPECT_EQ(recs[i].iteration, stats.history[i].first);
-    if (i + 1 < recs.size())
+    if (i + 1 < recs.size()) {
       EXPECT_DOUBLE_EQ(recs[i].rnorm, stats.history[i].second);
+    }
   }
   EXPECT_EQ(recs.back().norm_flavor, krylov::to_string(opts.norm));
 }
