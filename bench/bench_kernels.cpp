@@ -10,7 +10,8 @@
 //   * default             -- google-benchmark over everything registered;
 //   * --bench-json PATH   -- a fixed steady_clock harness over the hot-kernel
 //                            pairs (CSR vs SELL per matrix family, fused vs
-//                            unfused dot batch and basis step), written as
+//                            unfused dot batch, basis step and s-step outer
+//                            update), written as
 //                            BENCH_kernels.json with every measured number
 //                            under ratios.kernels.* so tools/diff_reports.py
 //                            and tools/perf_trajectory.py gate and track them
@@ -518,6 +519,97 @@ int run_bench_json(const std::string& path) {
     std::printf("  basis step   fused %7.2f GB/s  unfused %7.2f GB/s  "
                 "speedup %5.2fx\n",
                 to_gbs(bytes, t_fused), to_gbs(bytes, t_unfused),
+                t_fused > 0.0 ? t_unfused / t_fused : 0.0);
+  }
+
+  // Fused vs unfused outer update: one PIPE-PsCG outer iteration's vector
+  // work at s = 3 (two chains, monomial basis, past the first iteration)
+  // issued in pipelined_core's call order -- the direction block, both
+  // chains' power towers, the x update and the recurred bases -- at 45,000
+  // doubles per vector (ecology2's rank-local length on 2 ranks).  Fused,
+  // the batch is one blocked pass over its ~80 vectors; unfused, it is the
+  // whole-vector calls one after another.
+  {
+    constexpr std::size_t s = 3;
+    const sparse::CsrMatrix a = sparse::assemble_stencil2d(
+        sparse::stencil_poisson5(), 225, 200, "p5");
+    krylov::SerialEngine engine(a);
+    double next = 1.0;
+    const auto block = [&](std::size_t cols) {
+      krylov::VecBlock blk = engine.new_block(cols);
+      for (krylov::Vec& v : blk) {
+        for (std::size_t i = 0; i < v.size(); ++i)
+          v[i] = 1.0 / (next + static_cast<double>(i));
+        next += 1.0;
+      }
+      return blk;
+    };
+    struct Chain {
+      krylov::VecBlock lo, lo_next, ext;
+      std::vector<krylov::VecBlock> t_prev, t_cur;
+    };
+    std::vector<Chain> chains(2);
+    for (Chain& ch : chains) {
+      ch.lo = block(s + 1);
+      ch.lo_next = block(s + 1);
+      ch.ext = block(s);
+      for (std::size_t j = 0; j <= s; ++j) {
+        ch.t_prev.push_back(block(s));
+        ch.t_cur.push_back(block(s));
+      }
+    }
+    krylov::VecBlock p_prev = block(s), p_cur = block(s);
+    krylov::Vec x = block(1)[0];
+    la::DenseMatrix b(s, s);
+    for (std::size_t i = 0; i < s; ++i)
+      for (std::size_t j = 0; j < s; ++j)
+        b(i, j) = 0.1 / static_cast<double>(1 + i + 2 * j);
+    const std::vector<double> alpha = {0.3, -0.2, 0.1};
+    krylov::VectorBatch up(engine);
+    auto update = [&] {
+      for (std::size_t c = 0; c < s; ++c) up.copy(chains[0].lo[c], p_cur[c]);
+      up.block_maxpy(p_cur, p_prev, b);
+      for (std::size_t j = 0; j <= s; ++j) {
+        for (std::size_t c = 0; c < s; ++c)
+          for (Chain& ch : chains)
+            up.copy(j + 1 + c <= s ? ch.lo[j + 1 + c] : ch.ext[j + c - s],
+                    ch.t_cur[j][c]);
+        for (Chain& ch : chains) up.block_maxpy(ch.t_cur[j], ch.t_prev[j], b);
+      }
+      up.block_axpy(x, p_cur, alpha);
+      for (std::size_t j = 0; j <= s; ++j)
+        for (Chain& ch : chains)
+          up.block_combine(ch.lo_next[j], ch.lo[j], ch.t_cur[j], alpha);
+      up.run();
+    };
+    double t_fused, t_unfused;
+    {
+      const la::FusedKernelsGuard guard(true);
+      t_fused = seconds_per_call(update);
+    }
+    {
+      const la::FusedKernelsGuard guard(false);
+      t_unfused = seconds_per_call(update);
+    }
+    kernels.set("outer_update_fused_speedup",
+                t_fused > 0.0 ? t_unfused / t_fused : 0.0);
+
+    la::KernelStats& stats = la::kernel_stats();
+    {
+      const la::FusedKernelsGuard guard(false);
+      stats.reset();
+      update();
+      kernels.set("outer_update_passes_unfused", stats.program_passes);
+    }
+    {
+      const la::FusedKernelsGuard guard(true);
+      stats.reset();
+      update();
+      kernels.set("outer_update_passes_fused", stats.program_passes);
+    }
+    std::printf("  outer update fused %7.3f ms  unfused %7.3f ms  "
+                "speedup %5.2fx\n",
+                1e3 * t_fused, 1e3 * t_unfused,
                 t_fused > 0.0 ? t_unfused / t_fused : 0.0);
   }
 

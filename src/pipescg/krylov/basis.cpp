@@ -235,11 +235,18 @@ void extend_chain_pc(Engine& engine, const ShiftedBasis& basis, ChainView w,
   }
 }
 
-void combine_chain(Engine& engine, std::span<const double> coeffs,
+void combine_chain(VectorBatch& batch, std::span<const double> coeffs,
                    ChainView cols, Vec& dst) {
-  std::vector<const Vec*> terms;
-  for (std::size_t d = 0; d < coeffs.size(); ++d) terms.push_back(&cols[d]);
-  engine.lincomb(dst, nullptr, terms, coeffs, /*skip_zeros=*/true);
+  // The degrees in lo, then the rest from the extension in place: the batch
+  // folds the two into one op, with the events of one lincomb.
+  const std::size_t in_lo = std::min(coeffs.size(), cols.lo->size());
+  batch.lincomb(dst, nullptr, std::span<const Vec>(cols.lo->data(), in_lo),
+                coeffs.first(in_lo), /*skip_zeros=*/true);
+  if (in_lo < coeffs.size())
+    batch.lincomb(dst, &dst,
+                  std::span<const Vec>(cols.hi->data(),
+                                       coeffs.size() - in_lo),
+                  coeffs.subspan(in_lo), /*skip_zeros=*/true);
 }
 
 void apply_stability_cli(const CliParser& cli, SolverOptions& opts) {

@@ -140,9 +140,9 @@ void extend_chain_pc(Engine& engine, const ShiftedBasis& basis, ChainView w,
                      ChainView v, std::size_t first, std::size_t count,
                      Vec& scratch);
 
-/// dst = sum_d coeffs[d] * cols[d] (seed-expansion combination for the
-/// tower columns; zero coefficients are skipped).
-void combine_chain(Engine& engine, std::span<const double> coeffs,
+/// Issue dst = sum_d coeffs[d] * cols[d] into `batch` (seed-expansion
+/// combination for the tower columns; zero coefficients are skipped).
+void combine_chain(VectorBatch& batch, std::span<const double> coeffs,
                    ChainView cols, Vec& dst);
 
 /// Apply the shared --basis / --replace-every / --gap-tol CLI options

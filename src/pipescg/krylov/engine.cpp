@@ -69,65 +69,22 @@ void Engine::waxpy(Vec& z, double a, const Vec& y, const Vec& x) {
   record_compute(2.0 * n * global_scale(), 24.0 * n * global_scale());
 }
 
-void Engine::lincomb(Vec& dst, const Vec* base,
-                     std::span<const Vec* const> cols,
-                     std::span<const double> coeff, bool skip_zeros) {
-  PIPESCG_CHECK(coeff.size() == cols.size(), "lincomb shape mismatch");
-  PIPESCG_CHECK(base == nullptr || base->size() == dst.size(),
-                "lincomb size mismatch");
-  const std::size_t n = dst.size();
-  std::vector<const double*> xs;
-  std::vector<double> c;
-  for (std::size_t k = 0; k < cols.size(); ++k) {
-    if (skip_zeros && coeff[k] == 0.0) continue;
-    PIPESCG_CHECK(cols[k]->size() == n, "lincomb size mismatch");
-    xs.push_back(cols[k]->data());
-    c.push_back(coeff[k]);
-  }
-  la::lincomb(dst.data(), base == nullptr ? nullptr : base->data(), c, xs, n);
-  if (base == nullptr)
-    record_compute(0.0, 8.0 * n * global_scale());
-  else if (base != &dst)
-    record_compute(0.0, 16.0 * n * global_scale());
-  for (std::size_t k = 0; k < xs.size(); ++k)
-    record_compute(2.0 * n * global_scale(), 24.0 * n * global_scale());
-}
-
 void Engine::block_maxpy(VecBlock& y_block, const VecBlock& x_block,
                          const la::DenseMatrix& b) {
-  PIPESCG_CHECK(b.rows() == x_block.size() && b.cols() == y_block.size(),
-                "block_maxpy shape mismatch");
-  std::vector<const Vec*> xs;
-  for (const Vec& v : x_block) xs.push_back(&v);
-  std::vector<double> c(x_block.size());
-  for (std::size_t j = 0; j < y_block.size(); ++j) {
-    for (std::size_t k = 0; k < c.size(); ++k) c[k] = b(k, j);
-    lincomb(y_block[j], &y_block[j], xs, c, /*skip_zeros=*/true);
-  }
+  immediate_.block_maxpy(y_block, x_block, b);
+  immediate_.run();
 }
 
 void Engine::block_combine(Vec& out, const Vec& base, const VecBlock& block,
                            std::span<const double> coeff) {
-  PIPESCG_CHECK(coeff.size() == block.size(), "block_combine shape mismatch");
-  PIPESCG_CHECK(base.size() == out.size(), "block_combine size mismatch");
-  const std::size_t n = out.size();
-  std::vector<const double*> xs;
-  std::vector<double> c;
-  for (std::size_t k = 0; k < block.size(); ++k) {
-    xs.push_back(block[k].data());
-    c.push_back(-coeff[k]);
-  }
-  la::lincomb(out.data(), base.data(), c, xs, n);
-  record_compute(2.0 * n * block.size() * global_scale(),
-                 (16.0 + 8.0 * block.size()) * n * global_scale());
+  immediate_.block_combine(out, base, block, coeff);
+  immediate_.run();
 }
 
 void Engine::block_axpy(Vec& y, const VecBlock& block,
                         std::span<const double> coeff) {
-  PIPESCG_CHECK(coeff.size() == block.size(), "block_axpy shape mismatch");
-  std::vector<const Vec*> xs;
-  for (const Vec& v : block) xs.push_back(&v);
-  lincomb(y, &y, xs, coeff, /*skip_zeros=*/false);
+  immediate_.block_axpy(y, block, coeff);
+  immediate_.run();
 }
 
 void Engine::shift_combine(Vec& dst, const Vec& av, double theta,
@@ -149,6 +106,116 @@ void Engine::shift_combine(Vec& dst, const Vec& av, double theta,
     record_compute(2.0 * n * global_scale(), 24.0 * n * global_scale());
   if (gamma != 1.0)
     record_compute(1.0 * n * global_scale(), 16.0 * n * global_scale());
+}
+
+void VectorBatch::check(std::span<const Vec> vs) const {
+  for (const Vec& v : vs)
+    PIPESCG_CHECK(v.size() == engine_->local_size(), "batch size mismatch");
+}
+
+void VectorBatch::charge(double flops, double bytes) {
+  const double g = engine_->global_scale();
+  engine_->record_compute(flops * g, bytes * g);
+}
+
+VectorBatch::Op& VectorBatch::open(Vec& dst, const Vec* base,
+                                   std::span<const Vec> cols) {
+  double* const d = dst.data();
+  if (base == &dst) {
+    // Walk back to the last writer of dst; stop at an op that reads dst or
+    // writes one of the columns, since folding would move the terms past it.
+    for (std::size_t i = size_; i-- > 0;) {
+      Op& op = ops_[i];
+      if (op.dst == d) return op;
+      if (op.base == d ||
+          std::find(op.xs.begin(), op.xs.end(), d) != op.xs.end() ||
+          std::any_of(cols.begin(), cols.end(),
+                      [&](const Vec& c) { return c.data() == op.dst; }))
+        break;
+    }
+  }
+  if (size_ == ops_.size()) ops_.emplace_back();
+  Op& op = ops_[size_++];
+  op.dst = d;
+  op.base = base == nullptr ? nullptr : base->data();
+  op.coeff.clear();
+  op.xs.clear();
+  return op;
+}
+
+void VectorBatch::copy(const Vec& x, Vec& y) {
+  check({&x, 1});
+  check({&y, 1});
+  open(y, &x, {});
+  charge(0.0, 16.0 * engine_->local_size());
+}
+
+void VectorBatch::lincomb(Vec& dst, const Vec* base, std::span<const Vec> cols,
+                          std::span<const double> coeff, bool skip_zeros) {
+  PIPESCG_CHECK(coeff.size() == cols.size(), "lincomb shape mismatch");
+  check({&dst, 1});
+  if (base != nullptr) check({base, 1});
+  check(cols);
+  const std::size_t n = engine_->local_size();
+  Op& op = open(dst, base, cols);
+  if (base == nullptr)
+    charge(0.0, 8.0 * n);
+  else if (base != &dst)
+    charge(0.0, 16.0 * n);
+  for (std::size_t k = 0; k < cols.size(); ++k) {
+    if (skip_zeros && coeff[k] == 0.0) continue;
+    op.coeff.push_back(coeff[k]);
+    op.xs.push_back(cols[k].data());
+    charge(2.0 * n, 24.0 * n);
+  }
+}
+
+void VectorBatch::block_maxpy(VecBlock& y_block, const VecBlock& x_block,
+                              const la::DenseMatrix& b) {
+  PIPESCG_CHECK(b.rows() == x_block.size() && b.cols() == y_block.size(),
+                "block_maxpy shape mismatch");
+  check(y_block);
+  check(x_block);
+  const std::size_t n = engine_->local_size();
+  for (std::size_t j = 0; j < y_block.size(); ++j) {
+    Op& op = open(y_block[j], &y_block[j], x_block);
+    for (std::size_t k = 0; k < x_block.size(); ++k) {
+      if (b(k, j) == 0.0) continue;
+      op.coeff.push_back(b(k, j));
+      op.xs.push_back(x_block[k].data());
+      charge(2.0 * n, 24.0 * n);
+    }
+  }
+}
+
+void VectorBatch::block_combine(Vec& out, const Vec& base,
+                                const VecBlock& block,
+                                std::span<const double> coeff) {
+  PIPESCG_CHECK(coeff.size() == block.size(), "block_combine shape mismatch");
+  check({&out, 1});
+  check({&base, 1});
+  check(block);
+  const std::size_t n = engine_->local_size();
+  Op& op = open(out, &base, block);
+  for (std::size_t k = 0; k < block.size(); ++k) {
+    op.coeff.push_back(-coeff[k]);
+    op.xs.push_back(block[k].data());
+  }
+  charge(2.0 * n * block.size(), (16.0 + 8.0 * block.size()) * n);
+}
+
+void VectorBatch::block_axpy(Vec& y, const VecBlock& block,
+                             std::span<const double> coeff) {
+  lincomb(y, &y, block, coeff, /*skip_zeros=*/false);
+}
+
+void VectorBatch::run() {
+  program_.clear();
+  for (std::size_t i = 0; i < size_; ++i)
+    program_.push_back({ops_[i].dst, ops_[i].base, ops_[i].coeff,
+                        ops_[i].xs});
+  la::lincomb_program(program_, engine_->local_size());
+  size_ = 0;
 }
 
 }  // namespace pipescg::krylov

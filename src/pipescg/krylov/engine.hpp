@@ -39,8 +39,75 @@ struct DotHandle {
   bool active = false;
 };
 
+class Engine;
+
+/// An ordered batch of block-kernel calls run as one blocked pass
+/// (la::lincomb_program).  Each call takes the arguments and keeps the zero
+/// rule of the Engine block op of the same name, and charges that op's
+/// logical events as it is issued, so the recorded event trace is the one
+/// the immediate calls record.  run() executes the batch: every vector ends
+/// bitwise as after the immediate calls in issue order.  A copy or a
+/// lincomb followed by an in-place op on the same vector runs as one op
+/// (the same per-element sum) when nothing issued in between reads that
+/// vector or writes one of the in-place op's columns.
+///
+/// Nothing executes before run(): a vector the batch writes must not be read
+/// outside it until then.  The storage is reused from run to run, so a
+/// batch that repeats its shape allocates nothing after its first run.
+class VectorBatch {
+ public:
+  explicit VectorBatch(Engine& engine) : engine_(&engine) {}
+
+  void copy(const Vec& x, Vec& y);
+  /// dst = start + sum_k coeff[k] * cols[k]; the start is *base, +0.0
+  /// (base == nullptr) or dst itself (base == &dst).  With skip_zeros,
+  /// zero-coefficient terms are left out; without it they are applied, so a
+  /// NaN column under a zero weight still reaches the fault gate.  Charged
+  /// as the logical unfused sequence: a fill or copy for the start (none in
+  /// place), then one axpy per applied term.
+  void lincomb(Vec& dst, const Vec* base, std::span<const Vec> cols,
+               std::span<const double> coeff, bool skip_zeros);
+  /// Y(:, j) += sum_k X(:, k) * B(k, j), zero B(k, j) skipped; B is
+  /// (X.size() x Y.size()).
+  void block_maxpy(VecBlock& y_block, const VecBlock& x_block,
+                   const la::DenseMatrix& b);
+  /// out = base - sum_k coeff[k] * block[k], every term applied (out may
+  /// alias base); charged as one lumped event.
+  void block_combine(Vec& out, const Vec& base, const VecBlock& block,
+                     std::span<const double> coeff);
+  /// y += sum_k coeff[k] * block[k], every term applied.
+  void block_axpy(Vec& y, const VecBlock& block,
+                  std::span<const double> coeff);
+  /// Execute the batch and empty it.
+  void run();
+
+ private:
+  struct Op {
+    double* dst = nullptr;
+    const double* base = nullptr;
+    std::vector<double> coeff;
+    std::vector<const double*> xs;
+  };
+  // The op that `dst = start + ...` accumulates into: a new op, or for an
+  // in-place start the batch's last writer of dst when that is safe.
+  Op& open(Vec& dst, const Vec* base, std::span<const Vec> cols);
+  // Every vector a batch touches is rank-local; each call checks all of its
+  // vectors before it issues anything, so a call that throws issues nothing.
+  void check(std::span<const Vec> vs) const;
+  void charge(double flops, double bytes);
+
+  Engine* engine_;
+  std::vector<Op> ops_;  // ops_[0, size_) are live; the rest keep capacity
+  std::size_t size_ = 0;
+  std::vector<la::LincombOp> program_;
+};
+
 class Engine {
  public:
+  Engine() = default;
+  // The immediate block ops run on a batch that points back at this engine.
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
   virtual ~Engine() = default;
 
   /// Rank-local vector length.
@@ -112,23 +179,11 @@ class Engine {
   void waxpy(Vec& z, double a, const Vec& y, const Vec& x);
 
   // --- block kernels for the s-step methods -------------------------------
-  /// dst = start + sum_k coeff[k] * *cols[k] in one pass (la::lincomb); the
-  /// start is *base, +0.0 (base == nullptr) or dst itself (base == &dst).
-  /// With skip_zeros, zero-coefficient terms are left out; without it they
-  /// are applied, so a NaN column under a zero weight still reaches the
-  /// fault gate.  Charged as the logical unfused sequence: a fill or copy
-  /// for the start (none in place), then one axpy per applied term.
-  void lincomb(Vec& dst, const Vec* base, std::span<const Vec* const> cols,
-               std::span<const double> coeff, bool skip_zeros);
-  /// Y(:, j) += sum_k X(:, k) * B(k, j), zero B(k, j) skipped; B is
-  /// (X.size() x Y.size()).
+  /// Each is a VectorBatch of one call (see there), run at once.
   void block_maxpy(VecBlock& y_block, const VecBlock& x_block,
                    const la::DenseMatrix& b);
-  /// out = base - sum_k coeff[k] * block[k], every term applied (out may
-  /// alias base); charged as one lumped event.
   void block_combine(Vec& out, const Vec& base, const VecBlock& block,
                      std::span<const double> coeff);
-  /// y += sum_k coeff[k] * block[k], every term applied.
   void block_axpy(Vec& y, const VecBlock& block,
                   std::span<const double> coeff);
   /// dst = (av - theta p1 [- sigma p2]) / gamma -- the shifted-basis
@@ -149,11 +204,15 @@ class Engine {
   void charge(double flops, double bytes) { record_compute(flops, bytes); }
 
  protected:
+  friend class VectorBatch;
   /// Cost hook: flops/bytes in *global* units for the work just performed.
   virtual void record_compute(double flops, double bytes) = 0;
   /// Scale factor turning local elements into global cost units (1 on the
   /// serial engine, global/local on SPMD ranks).
   virtual double global_scale() const = 0;
+
+ private:
+  VectorBatch immediate_{*this};
 };
 
 }  // namespace pipescg::krylov

@@ -101,6 +101,7 @@ SolveStats pipelined_core(Engine& engine, const Vec& b, Vec& x,
     Chain& u = chains.front();
     Chain& r = chains.back();
     VecBlock p_prev = engine.new_block(su), p_cur = engine.new_block(su);
+    VectorBatch update(engine);
 
     // Degrees [first, first + s) of the (next) chains from degree first-1:
     // s SPMVs (+ s PCs with two chains).
@@ -224,9 +225,11 @@ SolveStats pipelined_core(Engine& engine, const Vec& b, Vec& x,
       run.telem.capture(sw);
       const bool first = outer == 0;
 
-      // Direction block: P_cur = V[0..s-1] + P_prev B (Alg. 5 line 17).
-      copy_block(engine, u.lo, p_cur, su);
-      if (!first) engine.block_maxpy(p_cur, p_prev, sw.b);
+      // The outer update, issued in the drivers' call order and run as one
+      // blocked pass.  Direction block: P_cur = V[0..s-1] + P_prev B
+      // (Alg. 5 line 17).
+      for (std::size_t c = 0; c < su; ++c) update.copy(u.lo[c], p_cur[c]);
+      if (!first) update.block_maxpy(p_cur, p_prev, sw.b);
 
       // Towers T[j] = seed + T_prev[j] B (Alg. 5 lines 14-20).  Monomial
       // seed column c of tower j is the basis vector of degree j+1+c (a
@@ -237,21 +240,21 @@ SolveStats pipelined_core(Engine& engine, const Vec& b, Vec& x,
         for (std::size_t c = 0; c < su; ++c) {
           for (Chain& ch : chains) {
             if (shifted)
-              combine_chain(engine,
+              combine_chain(update,
                             basis.seed(static_cast<int>(j),
                                        static_cast<int>(c)),
                             ch.view(false), ch.t_cur[j][c]);
             else
-              engine.copy(ch.view(false)[j + 1 + c], ch.t_cur[j][c]);
+              update.copy(ch.view(false)[j + 1 + c], ch.t_cur[j][c]);
           }
         }
         if (!first)
           for (Chain& ch : chains)
-            engine.block_maxpy(ch.t_cur[j], ch.t_prev[j], sw.b);
+            update.block_maxpy(ch.t_cur[j], ch.t_prev[j], sw.b);
       }
 
       // x_{i+1} = x_i + P_cur alpha.
-      engine.block_axpy(x, p_cur, sw.alpha);
+      update.block_axpy(x, p_cur, sw.alpha);
 
       // New bases: normally pure recurrence (Alg. 5 lines 21-25, Alg. 6
       // lines 28-33, no PC or SPMV); replacement iterations anchor the
@@ -264,14 +267,15 @@ SolveStats pipelined_core(Engine& engine, const Vec& b, Vec& x,
           (replacement_period > 0 && outer > 0 &&
            (outer % static_cast<std::size_t>(replacement_period)) == 0);
       force_replace = false;
+      if (!replace)
+        for (std::size_t j = 0; j <= su; ++j)
+          for (Chain& ch : chains)
+            update.block_combine(ch.lo_next[j], ch.lo[j], ch.t_cur[j],
+                                 sw.alpha);
+      update.run();
       if (replace) {
         ++stats.replacements;
         anchor(/*next=*/true);
-      } else {
-        for (std::size_t j = 0; j <= su; ++j)
-          for (Chain& ch : chains)
-            engine.block_combine(ch.lo_next[j], ch.lo[j], ch.t_cur[j],
-                                 sw.alpha);
       }
 
       if (policy.extra_flops_per_outer > 0.0) {

@@ -21,8 +21,9 @@ SolveStats PscgSolver::solve(Engine& engine, const Vec& b, Vec& x,
   // u-side powers v_j = (M^{-1}A)^j u; r-side powers w_j = (A M^{-1})^j r.
   VecBlock v = engine.new_block(su + 1), v_next = engine.new_block(su + 1);
   VecBlock wb = engine.new_block(su + 1), wb_next = engine.new_block(su + 1);
-  VecBlock p_prev = engine.new_block(su), p_cur = engine.new_block(su);
-  VecBlock apr_prev = engine.new_block(su), apr_cur = engine.new_block(su);
+  // P (u-side) and its A-image (r-side) by recurrence.
+  DirectionBlocks dir(engine, su);
+  VectorBatch update(engine);
 
   // Setup (paper Alg. 3 lines 3-6): s+1 PCs, s+1 SPMVs.
   {
@@ -39,7 +40,7 @@ SolveStats PscgSolver::solve(Engine& engine, const Vec& b, Vec& x,
   const DotLayout layout{s, /*preconditioned=*/true};
   std::vector<DotPair> pairs;
   std::vector<double> values(layout.total());
-  build_dot_pairs(layout, wb, v, apr_cur, pairs);  // apr_cur zero: C = 0
+  build_dot_pairs(layout, wb, v, dir.ap_cur, pairs);  // AP zero: C = 0
   engine.dots(pairs, values);
 
   ScalarWork scalar_work(s);
@@ -57,16 +58,9 @@ SolveStats PscgSolver::solve(Engine& engine, const Vec& b, Vec& x,
     }
     telem.capture(sw);
 
-    // Direction block (u-side) and its A-image (r-side) by recurrence.
-    copy_block(engine, v, p_cur, su);
-    for (std::size_t c = 0; c < su; ++c)
-      engine.copy(wb[c + 1], apr_cur[c]);  // A v_c = w_{c+1}
-    if (iterations > 0) {
-      engine.block_maxpy(p_cur, p_prev, sw.b);
-      engine.block_maxpy(apr_cur, apr_prev, sw.b);
-    }
-
-    engine.block_axpy(x, p_cur, sw.alpha);
+    // P = V + P_prev B, its A-image from A v_c = w_{c+1}, and x += P alpha.
+    dir.update(update, sw, iterations == 0, v, wb, nullptr, x);
+    update.run();
 
     // Explicit rebuild: r, u, then the power basis (Alg. 3 lines 12-14):
     // s+1 SPMVs and s+1 PCs per outer iteration.
@@ -81,7 +75,7 @@ SolveStats PscgSolver::solve(Engine& engine, const Vec& b, Vec& x,
       engine.apply_pc(wb_next[j], v_next[j]);
     }
 
-    build_dot_pairs(layout, wb_next, v_next, apr_cur, pairs);
+    build_dot_pairs(layout, wb_next, v_next, dir.ap_cur, pairs);
     engine.dots(pairs, values);
 
     iterations += su;
@@ -92,8 +86,7 @@ SolveStats PscgSolver::solve(Engine& engine, const Vec& b, Vec& x,
 
     std::swap(v, v_next);
     std::swap(wb, wb_next);
-    std::swap(p_prev, p_cur);
-    std::swap(apr_prev, apr_cur);
+    dir.advance();
   }
 
   stats.converged = rnorm < tol;

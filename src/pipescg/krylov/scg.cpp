@@ -20,8 +20,8 @@ SolveStats ScgSolver::solve(Engine& engine, const Vec& b, Vec& x,
 
   VecBlock basis = engine.new_block(su + 1),
            basis_next = engine.new_block(su + 1);
-  VecBlock p_prev = engine.new_block(su), p_cur = engine.new_block(su);
-  VecBlock ap_prev = engine.new_block(su), ap_cur = engine.new_block(su);
+  DirectionBlocks dir(engine, su);
+  VectorBatch update(engine);
 
   // Setup: basis of r_0 (paper Alg. 2 lines 3-5).
   {
@@ -35,7 +35,7 @@ SolveStats ScgSolver::solve(Engine& engine, const Vec& b, Vec& x,
   const DotLayout layout{s, /*preconditioned=*/false};
   std::vector<DotPair> pairs;
   std::vector<double> values(layout.total());
-  build_dot_pairs(layout, basis, basis, ap_cur, pairs);  // ap_cur zero: C = 0
+  build_dot_pairs(layout, basis, basis, dir.ap_cur, pairs);  // AP zero: C = 0
   engine.dots(pairs, values);
 
   ScalarWork scalar_work(s);
@@ -53,17 +53,10 @@ SolveStats ScgSolver::solve(Engine& engine, const Vec& b, Vec& x,
     }
     telem.capture(sw);
     // Direction block and its A-image (paper Alg. 2 lines 9-10; the A-image
-    // recurrence adds only linear-combination work, no SPMV).
-    copy_block(engine, basis, p_cur, su);
-    for (std::size_t c = 0; c < su; ++c)
-      engine.copy(basis[c + 1], ap_cur[c]);
-    if (iterations > 0) {
-      engine.block_maxpy(p_cur, p_prev, sw.b);
-      engine.block_maxpy(ap_cur, ap_prev, sw.b);
-    }
-
+    // recurrence adds only linear-combination work, no SPMV), then
     // x_{i+1} = x_i + P alpha (Alg. 2 line 10).
-    engine.block_axpy(x, p_cur, sw.alpha);
+    dir.update(update, sw, iterations == 0, basis, basis, nullptr, x);
+    update.run();
 
     // Explicit residual and basis rebuild: s+1 SPMVs (Alg. 2 lines 11-12).
     {
@@ -75,7 +68,7 @@ SolveStats ScgSolver::solve(Engine& engine, const Vec& b, Vec& x,
       engine.apply_op(basis_next[j - 1], basis_next[j]);
 
     // One blocking allreduce for all 2s+1 moments + cross (Alg. 2 line 13).
-    build_dot_pairs(layout, basis_next, basis_next, ap_cur, pairs);
+    build_dot_pairs(layout, basis_next, basis_next, dir.ap_cur, pairs);
     engine.dots(pairs, values);
 
     iterations += su;
@@ -85,8 +78,7 @@ SolveStats ScgSolver::solve(Engine& engine, const Vec& b, Vec& x,
     engine.mark_iteration(iterations - 1, rnorm);
 
     std::swap(basis, basis_next);
-    std::swap(p_prev, p_cur);
-    std::swap(ap_prev, ap_cur);
+    dir.advance();
   }
 
   stats.converged = rnorm < tol;

@@ -265,11 +265,37 @@ GapMonitor::Action GapMonitor::observe(double recurred_rnorm,
   return Action::kReplace;
 }
 
-void copy_block(Engine& engine, const VecBlock& src, VecBlock& dst,
-                std::size_t count) {
-  PIPESCG_CHECK(src.size() >= count && dst.size() >= count,
-                "copy_block count exceeds block size");
-  for (std::size_t j = 0; j < count; ++j) engine.copy(src[j], dst[j]);
+DirectionBlocks::DirectionBlocks(Engine& engine, std::size_t s)
+    : p_prev(engine.new_block(s)),
+      p_cur(engine.new_block(s)),
+      ap_prev(engine.new_block(s)),
+      ap_cur(engine.new_block(s)) {}
+
+void DirectionBlocks::update(VectorBatch& up, const ScalarWork::Result& sw,
+                             bool first, const VecBlock& s_block,
+                             VecBlock& chain, const ShiftedBasis* basis,
+                             Vec& x) {
+  const std::size_t su = p_cur.size();
+  PIPESCG_CHECK(s_block.size() >= su && chain.size() > su,
+                "direction update needs s + 1 basis columns");
+  for (std::size_t c = 0; c < su; ++c) up.copy(s_block[c], p_cur[c]);
+  for (std::size_t c = 0; c < su; ++c) {
+    if (basis == nullptr || basis->monomial())
+      up.copy(chain[c + 1], ap_cur[c]);
+    else
+      combine_chain(up, basis->seed(0, static_cast<int>(c)),
+                    ChainView{&chain, nullptr}, ap_cur[c]);
+  }
+  if (!first) {
+    up.block_maxpy(p_cur, p_prev, sw.b);
+    up.block_maxpy(ap_cur, ap_prev, sw.b);
+  }
+  up.block_axpy(x, p_cur, sw.alpha);
+}
+
+void DirectionBlocks::advance() {
+  std::swap(p_prev, p_cur);
+  std::swap(ap_prev, ap_cur);
 }
 
 void TelemetrySnapshot::capture(const ScalarWork::Result& sw) {
@@ -397,10 +423,8 @@ ScgColumn::ScgColumn(Engine& engine, const ShiftedBasis& basis)
     : basis(&basis),
       chain(engine.new_block(static_cast<std::size_t>(basis.s()) + 1)),
       chain_next(engine.new_block(static_cast<std::size_t>(basis.s()) + 1)),
-      p_prev(engine.new_block(static_cast<std::size_t>(basis.s()))),
-      p_cur(engine.new_block(static_cast<std::size_t>(basis.s()))),
-      ap_prev(engine.new_block(static_cast<std::size_t>(basis.s()))),
-      ap_cur(engine.new_block(static_cast<std::size_t>(basis.s()))),
+      dir(engine, static_cast<std::size_t>(basis.s())),
+      update(engine),
       scalar_work(basis.s()) {}
 
 namespace {
@@ -428,23 +452,9 @@ void ScgColumn::start(Engine& engine, const Vec& b, const Vec& x,
 
 void ScgColumn::step(Engine& engine, const ScalarWork::Result& sw,
                      const Vec& b, Vec& x, bool replace, Vec& scratch) {
-  const std::size_t su = static_cast<std::size_t>(basis->s());
-  // The AP seed column c is A p_c(A) r: the next basis vector for the
-  // monomial family, the x * p_c seed expansion for a shifted one.
-  copy_block(engine, chain, p_cur, su);
-  for (std::size_t c = 0; c < su; ++c) {
-    if (basis->monomial())
-      engine.copy(chain[c + 1], ap_cur[c]);
-    else
-      combine_chain(engine, basis->seed(0, static_cast<int>(c)),
-                    ChainView{&chain, nullptr}, ap_cur[c]);
-  }
-  if (outer > 0) {
-    engine.block_maxpy(p_cur, p_prev, sw.b);
-    engine.block_maxpy(ap_cur, ap_prev, sw.b);
-  }
-  engine.block_axpy(x, p_cur, sw.alpha);
-  engine.block_combine(chain_next[0], chain[0], ap_cur, sw.alpha);
+  dir.update(update, sw, outer == 0, chain, chain, basis, x);
+  update.block_combine(chain_next[0], chain[0], dir.ap_cur, sw.alpha);
+  update.run();
   if (replace) {
     engine.apply_op(x, scratch);
     engine.waxpy(chain_next[0], -1.0, scratch, b);
@@ -455,13 +465,12 @@ void ScgColumn::step(Engine& engine, const ScalarWork::Result& sw,
 void ScgColumn::dot_pairs(const DotLayout& layout, bool next,
                           std::vector<DotPair>& out) const {
   const VecBlock& c = next ? chain_next : chain;
-  build_dot_pairs(layout, c, c, ap_cur, out);
+  build_dot_pairs(layout, c, c, dir.ap_cur, out);
 }
 
 void ScgColumn::advance() {
   std::swap(chain, chain_next);
-  std::swap(p_prev, p_cur);
-  std::swap(ap_prev, ap_cur);
+  dir.advance();
   ++outer;
 }
 

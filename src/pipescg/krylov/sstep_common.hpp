@@ -220,9 +220,24 @@ DotPair true_residual(Engine& engine, const Vec& b, const Vec& x,
 double true_flavored_norm(Engine& engine, const Vec& b, const Vec& x,
                           NormType norm, Vec& scratch_r, Vec& scratch_u);
 
-/// Copy the first s columns of `src` into `dst` (block "slice" helper).
-void copy_block(Engine& engine, const VecBlock& src, VecBlock& dst,
-                std::size_t count);
+/// The direction block P and its A-image AP of the blocking s-step loops
+/// (scg, pscg and ScgColumn: paper Algs. 2-4), double-buffered.
+struct DirectionBlocks {
+  DirectionBlocks(Engine& engine, std::size_t s);
+
+  /// Issue the outer update into `up` in the loops' one call order: the
+  /// copies P = S[0, s), the AP seeds, P += P_prev B and AP += AP_prev B
+  /// (neither when `first`), then x += P alpha.  AP seed column c is
+  /// A p_c(A) S[0]: chain[c + 1] for the monomial basis (`basis` null or
+  /// monomial), the x * p_c seed expansion over `chain` for a shifted one.
+  void update(VectorBatch& up, const ScalarWork::Result& sw, bool first,
+              const VecBlock& s_block, VecBlock& chain,
+              const ShiftedBasis* basis, Vec& x);
+  /// P becomes P_prev, AP becomes AP_prev.
+  void advance();
+
+  VecBlock p_prev, p_cur, ap_prev, ap_cur;
+};
 
 /// Per-iteration convergence telemetry staging for the s-step drivers.
 /// capture() snapshots the most recent scalar work (alpha step sizes and
@@ -330,7 +345,8 @@ struct ScgColumn {
 
   const ShiftedBasis* basis;
   VecBlock chain, chain_next;  // S and S_next (s+1 columns each)
-  VecBlock p_prev, p_cur, ap_prev, ap_cur;
+  DirectionBlocks dir;
+  VectorBatch update;
   ScalarWork scalar_work;
   std::size_t outer = 0;
 };

@@ -3,21 +3,29 @@
 // The s-step drivers spend their vector time in the per-outer dot batch
 // ((2s+1) moment pairs + s^2 cross pairs + norm extras, a separate sweep
 // per pair in the naive form), the basis-build epilogue (copy + up to two
-// axpys + a scale per new column) and the block updates of P, the power
-// towers and x (an axpy sweep per term).  The kernels here make each ONE
-// pass:
-//   * dot_batch     -- i-blocked so the working set stays cache-resident
-//                      across pairs: one memory pass per batch;
-//   * lincomb       -- dst = start + sum_k c_k x_k, under every block op;
-//   * shift_combine -- the three-term-recurrence epilogue
-//                      dst = (av - theta p1 - sigma p2) / gamma in one pass;
+// axpys + a scale per new column) and the outer update of P, the power
+// towers, x and the recurred bases (an axpy sweep per term, about 60
+// whole-vector calls per PIPE-PsCG outer iteration).  The kernels here make
+// each ONE pass:
+//   * dot_batch       -- i-blocked so the working set stays cache-resident
+//                        across pairs: one memory pass per batch;
+//   * lincomb_program -- an ordered list of lincombs
+//                        dst = start + sum_k c_k x_k run block by block
+//                        (every op on an L2-sized block before the next
+//                        block), each op carrying its accumulator in a
+//                        register across up to four terms: one memory pass
+//                        per outer update.  lincomb is a program of one;
+//   * shift_combine   -- the three-term-recurrence epilogue
+//                        dst = (av - theta p1 - sigma p2) / gamma in one pass;
 //   * shift_combine_with_dots -- shift_combine plus dot partials of the new
-//                      column against existing columns, same sweep.
+//                        column against existing columns, same sweep.
 //
 // Fusion contract (DESIGN.md section 14): every fused kernel performs the
 // exact per-element floating-point operation sequence of its unfused
 // reference, so fused and unfused results are bitwise identical -- fusion
-// changes WHEN memory is touched, never WHAT arithmetic runs.
+// changes WHEN memory is touched, never WHAT arithmetic runs.  For a
+// program that holds under any aliasing between its ops: the ops are
+// element-wise, so blocking replays the sequential program at each index.
 // set_fused_kernels_enabled(false) routes every call through the unfused
 // reference loops; the parity tests and bench_kernels rely on that switch.
 //
@@ -40,14 +48,17 @@
 
 namespace pipescg::la {
 
-/// Thread-local memory-pass counters.  The counter test pins the headline
+/// Thread-local memory-pass counters.  The counter tests pin the headline
 /// claim with these: per outer iteration the dot batch drops from
-/// pairs-many sweeps (>= 2s+1) to one, the basis step from up to 4 to one.
+/// pairs-many sweeps (>= 2s+1) to one, the basis step from up to 4 to one,
+/// the outer update (a program) from one per start and term to one.
 struct KernelStats {
   std::size_t dot_batches = 0;   // batches executed (fused or not)
   std::size_t dot_sweeps = 0;    // memory passes over the dot working set
   std::size_t basis_steps = 0;   // shift_combine calls
   std::size_t basis_passes = 0;  // memory passes those steps performed
+  std::size_t programs = 0;        // lincomb_program calls (lincomb included)
+  std::size_t program_passes = 0;  // memory passes those programs performed
   void reset() { *this = KernelStats{}; }
 };
 KernelStats& kernel_stats();
@@ -95,14 +106,26 @@ void axpy(double* y, double a, const double* x, std::size_t n);
 void lincomb(double* dst, const double* base, std::span<const double> coeff,
              std::span<const double* const> xs, std::size_t n);
 
+/// One lincomb of a program: dst = start + sum_k coeff[k] xs[k], with the
+/// start and aliasing rules of lincomb.
+struct LincombOp {
+  double* dst;
+  const double* base;
+  std::span<const double> coeff;
+  std::span<const double* const> xs;
+};
+
+/// Runs `ops` in order over [0, n), with results bitwise those of one
+/// whole-vector lincomb call per op.  Fused: one pass, block by block, each
+/// op finishing a block before the next op starts on it -- exact under any
+/// aliasing between ops, since every op is element-wise.  Unfused: the
+/// sequential whole-vector calls, each a start pass plus one axpy sweep per
+/// term.
+void lincomb_program(std::span<const LincombOp> ops, std::size_t n);
+
 /// x *= a; y = x + a y (y may not alias x).
 void scale(double* x, double a, std::size_t n);
 void aypx(double* y, double a, const double* x, std::size_t n);
-
-/// y += a1 x1; y += a2 x2 -- one pass fused, per-element order
-/// ((y + a1 x1) + a2 x2) identical to the two separate sweeps.
-void axpy_pair(double* y, double a1, const double* x1, double a2,
-               const double* x2, std::size_t n);
 
 /// The shifted-basis three-term epilogue, one pass:
 ///   dst = (av - theta p1 [- sigma p2]) * (1 / gamma)

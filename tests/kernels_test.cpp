@@ -3,7 +3,8 @@
 // the matrix-powers kernel), the fused BLAS-1 kernels are bitwise identical
 // to their unfused reference chains (including through full s-step solves
 // over every basis family), lincomb and the block ops on it match the
-// scalar per-term loop with each caller's zero rule, the memory-pass
+// scalar per-term loop with each caller's zero rule, lincomb programs match
+// their ops run as sequential whole-vector calls, the memory-pass
 // counters pin the fusion claim (2s+ sweeps -> 1 per dot batch, 4 -> 1 per
 // basis step), and the byte models the benches print are the SAME numbers
 // the operators report.
@@ -245,19 +246,6 @@ TEST(FusedKernelsTest, ShiftCombineBitwiseMatchesUnfused) {
   }
 }
 
-// axpy_pair must reproduce ((y + a1 x1) + a2 x2) exactly.
-TEST(FusedKernelsTest, AxpyPairBitwiseMatchesTwoAxpys) {
-  const std::size_t n = 3333;
-  const std::vector<double> x1 = random_vector(n, 11);
-  const std::vector<double> x2 = random_vector(n, 12);
-  std::vector<double> y_pair = random_vector(n, 13);
-  std::vector<double> y_ref = y_pair;
-  la::axpy_pair(y_pair.data(), 0.7, x1.data(), -1.3, x2.data(), n);
-  la::axpy(y_ref.data(), 0.7, x1.data(), n);
-  la::axpy(y_ref.data(), -1.3, x2.data(), n);
-  expect_bitwise(y_pair, y_ref, "axpy_pair");
-}
-
 // shift_combine_with_dots: the same-sweep dot partials must match dots
 // computed after the fact.
 TEST(FusedKernelsTest, ShiftCombineWithDotsMatchesSeparateDots) {
@@ -459,8 +447,10 @@ TEST(LincombTest, BlockOpsBitwiseMatchPerTermReference) {
 
     // combine_chain: +0.0 start, zeros skipped.
     krylov::Vec dst = from(start);
-    krylov::combine_chain(engine, kLincombCoeff,
+    krylov::VectorBatch batch(engine);
+    krylov::combine_chain(batch, kLincombCoeff,
                           krylov::ChainView{&block, nullptr}, dst);
+    batch.run();
     expect_bitwise(to_vec(dst),
                    per_term_reference(std::vector<double>(n, 0.0),
                                       kLincombCoeff, cols, true),
@@ -487,6 +477,181 @@ TEST(LincombTest, BlockOpsBitwiseMatchPerTermReference) {
     krylov::Vec in_place = from(start);
     engine.block_combine(in_place, in_place, block, kLincombCoeff);
     expect_bitwise(to_vec(in_place), combine_ref, "block_combine in place");
+  }
+}
+
+// --- lincomb programs -----------------------------------------------------
+
+// A program over a pool of vectors, with ops stored by pool index so the
+// same program can run on several copies of the pool.
+struct PoolOp {
+  std::size_t dst;
+  int start;  // 0: base vector, 1: +0.0, 2: dst itself
+  std::size_t base;
+  std::vector<double> coeff;
+  std::vector<std::size_t> xs;
+};
+using Pool = std::vector<std::vector<double>>;
+
+// The program as la ops on `pool`; `ptrs` keeps the term pointer arrays.
+std::vector<la::LincombOp> bind(const std::vector<PoolOp>& prog, Pool& pool,
+                                std::vector<std::vector<const double*>>& ptrs) {
+  std::vector<la::LincombOp> ops;
+  ptrs.assign(prog.size(), {});
+  for (std::size_t o = 0; o < prog.size(); ++o) {
+    const PoolOp& p = prog[o];
+    for (const std::size_t x : p.xs) ptrs[o].push_back(pool[x].data());
+    double* dst = pool[p.dst].data();
+    const double* base =
+        p.start == 0 ? pool[p.base].data() : p.start == 1 ? nullptr : dst;
+    ops.push_back({dst, base, p.coeff, ptrs[o]});
+  }
+  return ops;
+}
+
+Pool run_program(const std::vector<PoolOp>& prog, Pool pool, std::size_t n) {
+  std::vector<std::vector<const double*>> ptrs;
+  const std::vector<la::LincombOp> ops = bind(prog, pool, ptrs);
+  la::lincomb_program(ops, n);
+  return pool;
+}
+
+// The reference the program is pinned against: one whole-vector la::lincomb
+// call per op, in program order.
+Pool run_sequential(const std::vector<PoolOp>& prog, Pool pool,
+                    std::size_t n) {
+  std::vector<std::vector<const double*>> ptrs;
+  for (const la::LincombOp& op : bind(prog, pool, ptrs))
+    la::lincomb(op.dst, op.base, op.coeff, op.xs, n);
+  return pool;
+}
+
+// Independent of la: every element summed from its start in term order.
+Pool run_scalar(const std::vector<PoolOp>& prog, Pool pool, std::size_t n) {
+  for (const PoolOp& p : prog)
+    for (std::size_t i = 0; i < n; ++i) {
+      double acc = p.start == 0   ? pool[p.base][i]
+                   : p.start == 1 ? 0.0
+                                  : pool[p.dst][i];
+      for (std::size_t k = 0; k < p.xs.size(); ++k)
+        acc += p.coeff[k] * pool[p.xs[k]][i];
+      pool[p.dst][i] = acc;
+    }
+  return pool;
+}
+
+void expect_pools_bitwise(const Pool& a, const Pool& b, const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t v = 0; v < a.size(); ++v)
+    ASSERT_NO_FATAL_FAILURE(expect_bitwise(a[v], b[v], what)) << "v=" << v;
+}
+
+Pool random_pool(std::size_t vectors, std::size_t n, unsigned seed) {
+  Pool pool;
+  for (std::size_t v = 0; v < vectors; ++v)
+    pool.push_back(random_vector(n, seed + static_cast<unsigned>(v)));
+  return pool;
+}
+
+// Lengths around the 512-double program block: empty, SIMD remainder only,
+// one block minus/plus one, and an ecology2-sized rank-local vector.
+constexpr std::size_t kProgramLengths[] = {0, 1, 7, 511, 512, 513, 45000};
+
+// Random programs over a small pool, so ops read what earlier ops wrote and
+// overwrite what earlier ops read; every start mode and term counts 0..9
+// (past the four terms one sweep carries), some coefficients zero.
+TEST(LincombProgramTest, RandomProgramsMatchSequentialCallsBitwise) {
+  std::mt19937 rng(7);
+  const std::size_t pool_size = 6;
+  for (const std::size_t n : kProgramLengths) {
+    for (int trial = 0; trial < (n > 1000 ? 4 : 25); ++trial) {
+      std::vector<PoolOp> prog(1 + rng() % 12);
+      for (PoolOp& op : prog) {
+        op.dst = rng() % pool_size;
+        op.start = static_cast<int>(rng() % 3);
+        op.base = rng() % pool_size;  // may equal dst: then an in-place copy
+        const std::size_t terms = rng() % 10;
+        for (std::size_t k = 0; k < terms; ++k) {
+          std::size_t x = rng() % pool_size;
+          if (x == op.dst) x = (x + 1) % pool_size;  // xs never alias dst
+          op.xs.push_back(x);
+          op.coeff.push_back(rng() % 5 == 0
+                                 ? 0.0
+                                 : std::ldexp(static_cast<double>(rng() % 997),
+                                              -9) - 0.9);
+        }
+      }
+      const Pool pool =
+          random_pool(pool_size, n, 300 + static_cast<unsigned>(trial));
+      const Pool want = run_sequential(prog, pool, n);
+      expect_pools_bitwise(run_program(prog, pool, n), want, "program");
+      expect_pools_bitwise(run_scalar(prog, pool, n), want, "scalar");
+      const la::FusedKernelsGuard unfused(false);
+      expect_pools_bitwise(run_program(prog, pool, n), want, "unfused");
+    }
+  }
+}
+
+// The aliasing cases the blocked executor must get right, spelled out: a
+// read after write (op 1 reads what op 0 wrote), a write after read (op 2
+// overwrites op 0's term and op 1's base), an in-place op chaining through
+// more than four terms, and each start mode.
+TEST(LincombProgramTest, ReadAfterWriteAndWriteAfterRead) {
+  const std::vector<PoolOp> prog = {
+      {0, 0, 1, {0.5, -1.5}, {2, 3}},                   // v0 = v1 + ...
+      {4, 0, 2, {2.0, 0.25}, {0, 0}},                   // reads v0 (RAW)
+      {2, 1, 0, {1.0, -3.0}, {4, 0}},                   // writes v2 (WAR)
+      {3, 2, 3, {1, -1, 0.5, 0.75, -2, 3}, {0, 1, 2, 4, 0, 1}},  // in place
+      {1, 0, 1, {}, {}},                                // in-place copy
+  };
+  for (const std::size_t n : kProgramLengths) {
+    const Pool pool = random_pool(5, n, 400);
+    const Pool want = run_sequential(prog, pool, n);
+    expect_pools_bitwise(run_program(prog, pool, n), want, "program");
+    expect_pools_bitwise(run_scalar(prog, pool, n), want, "scalar");
+    const la::FusedKernelsGuard unfused(false);
+    expect_pools_bitwise(run_program(prog, pool, n), want, "unfused");
+  }
+}
+
+// A kept zero coefficient multiplies a NaN column into the result, and a
+// later op that reads that result carries the NaN on, fused or not.
+TEST(LincombProgramTest, KeptZeroCoefficientPropagatesNaN) {
+  const std::vector<PoolOp> prog = {
+      {0, 1, 0, {1.5, 0.0}, {1, 2}},  // v0 = 1.5 v1 + 0 * NaN
+      {3, 0, 1, {0.5}, {0}},          // v3 = v1 + 0.5 v0
+  };
+  for (const bool fused : {true, false}) {
+    const la::FusedKernelsGuard guard(fused);
+    for (const std::size_t n : kProgramLengths) {
+      Pool pool = random_pool(4, n, 500);
+      std::fill(pool[2].begin(), pool[2].end(),
+                std::numeric_limits<double>::quiet_NaN());
+      const Pool out = run_program(prog, pool, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(std::isnan(out[0][i])) << i;
+        ASSERT_TRUE(std::isnan(out[3][i])) << i;
+      }
+    }
+  }
+}
+
+// One fused program is one memory pass; unfused, each op is a start pass
+// (none in place) plus a sweep per term.
+TEST(LincombProgramTest, PassCounters) {
+  const std::vector<PoolOp> prog = {
+      {0, 0, 1, {0.5, -1.5}, {2, 3}},  // 1 + 2
+      {4, 1, 0, {2.0}, {0}},           // 1 + 1
+      {3, 2, 3, {1, -1, 0.5}, {0, 1, 2}},  // 0 + 3
+  };
+  const Pool pool = random_pool(5, 64, 600);
+  la::KernelStats& stats = la::kernel_stats();
+  for (const bool fused : {true, false}) {
+    const la::FusedKernelsGuard guard(fused);
+    stats.reset();
+    run_program(prog, pool, 64);
+    EXPECT_EQ(stats.programs, 1u);
+    EXPECT_EQ(stats.program_passes, fused ? 1u : 8u);
   }
 }
 

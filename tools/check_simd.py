@@ -11,9 +11,10 @@ a build produced:
 It disassembles vector_kernels.cpp.o and engine.cpp.o with `objdump -d -C`
 and checks:
 
-  * lincomb, axpy_pair and shift_combine contain packed-double arithmetic
-    (a kernel counts with its <name>_* family: shift_combine runs in
-    shift_combine_with_dots);
+  * lincomb, lincomb_program and shift_combine contain packed-double
+    arithmetic (a kernel counts with its <name>_* family:
+    shift_combine runs in shift_combine_with_dots, lincomb in the
+    lincomb_program executor that carries the sweeps);
   * dot_batch adds with scalar instructions and contains no packed-double
     addition: its sums stay in the scalar loop's order.  A packed multiply there is allowed -- it is GCC's
     in-order reduction, which multiplies element-wise and still adds the
@@ -28,7 +29,7 @@ import subprocess
 import sys
 
 OBJECTS = ("vector_kernels.cpp.o", "engine.cpp.o")
-VECTORIZED = ("lincomb", "axpy_pair", "shift_combine")
+VECTORIZED = ("lincomb", "lincomb_program", "shift_combine")
 SCALAR_SUMS = ("dot_batch",)
 
 FUNC = re.compile(r"^[0-9a-f]+ <(.*)>:$")
@@ -87,7 +88,7 @@ def main(argv):
     for name in VECTORIZED:
         ops = kernel(funcs, name)
         packed = [op for op in ops if PACKED.match(op)]
-        print("%-14s %5d instructions, %3d packed-double" %
+        print("%-16s %5d instructions, %3d packed-double" %
               (name, len(ops), len(packed)))
         if not ops:
             errors.append("%s: not found in the object code" % name)
@@ -97,7 +98,7 @@ def main(argv):
     for name in SCALAR_SUMS:
         ops = kernel(funcs, name)
         sums = sorted(set(op for op in ops if PACKED_SUM.match(op)))
-        print("%-14s %5d instructions, packed sums: %s" %
+        print("%-16s %5d instructions, packed sums: %s" %
               (name, len(ops), ", ".join(sums) or "none"))
         if not any(SCALAR_ADD.match(op) for op in ops):
             errors.append("%s: no scalar addition -- the reduction is not in "
