@@ -279,7 +279,8 @@ void check_cell(const CellSpec& c) {
 // MPK only changes the unpreconditioned monomial chains; the pin covers it
 // on the methods that carry one.
 bool mpk_applies(const std::string& method) {
-  return method == "scg-sspmv" || method == "pipe-scg" || method == kMulti;
+  return method == "scg" || method == "scg-sspmv" || method == "pipe-scg" ||
+         method == kMulti;
 }
 
 class TrajectoryPinTest : public ::testing::TestWithParam<const char*> {};
@@ -305,7 +306,8 @@ TEST_P(TrajectoryPinTest, GridMatchesPinnedTable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, TrajectoryPinTest,
-                         ::testing::Values("scg-sspmv", "pipe-scg",
+                         ::testing::Values("scg", "pscg", "scg-sspmv",
+                                           "pipe-scg",
                                            "pipe-pscg", "pipecg-oati",
                                            "pipecg3", "hybrid", kMulti),
                          [](const auto& info) {
