@@ -122,6 +122,11 @@ struct ChainView {
     return d < lo->size() ? (*lo)[d] : (*hi)[d - lo->size()];
   }
   const Vec& at(std::size_t d) const { return (*this)[d]; }
+  /// Degrees [first, first + count), which lie wholly in lo or in hi.
+  std::span<Vec> degrees(std::size_t first, std::size_t count) const {
+    if (first < lo->size()) return std::span<Vec>(lo->data() + first, count);
+    return std::span<Vec>(hi->data() + (first - lo->size()), count);
+  }
 };
 
 /// Extend an unpreconditioned shifted chain: columns [first, first+count)

@@ -13,10 +13,6 @@ namespace pipescg::krylov {
 using sstep::DotLayout;
 using sstep::ScalarWork;
 
-std::size_t max_batch_columns(int s) {
-  return max_batch_columns(s, /*shifted_basis=*/false);
-}
-
 std::size_t max_batch_columns(int s, bool shifted_basis) {
   const DotLayout layout{s, /*preconditioned=*/false, shifted_basis};
   return par::Team::kMaxPayload / layout.total();
@@ -25,8 +21,8 @@ std::size_t max_batch_columns(int s, bool shifted_basis) {
 namespace {
 
 // Everything one right-hand side carries through the lockstep loop: the
-// same sstep::ScgColumn ScgSspmvSolver runs, plus its stats and its slice
-// of the fused batch.  Only the dot batches are shared with the other
+// same sstep::ScgColumn blocking_core runs for scg-sspmv, plus its stats and
+// its slice of the fused batch.  Only the dot batches are shared with the other
 // columns.
 struct Column {
   Column(Engine& engine, const ShiftedBasis& basis)

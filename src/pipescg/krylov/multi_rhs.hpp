@@ -32,17 +32,16 @@ namespace pipescg::krylov {
 
 /// Largest k the batched driver accepts at block depth s: the fused payload
 /// k * (2s+1 + s^2) must fit one par::Team allreduce (kMaxPayload doubles).
-/// The two-argument overload accounts for a shifted (Newton/Chebyshev)
-/// basis, whose Gram payload k * ((s+1)(s+2)/2 + s^2) is wider.
-std::size_t max_batch_columns(int s);
+/// A shifted (Newton/Chebyshev) basis widens the Gram payload to
+/// k * ((s+1)(s+2)/2 + s^2).
 std::size_t max_batch_columns(int s, bool shifted_basis);
 
 /// Solve A x_i = b_i for every column i in lockstep (method "scg-sspmv",
 /// paper Alg. 4, basis builds through Engine::apply_op_powers).  `bs` and
-/// `xs` must have equal size <= max_batch_columns(opts.s); xs carries the
-/// initial guesses and receives the solutions.  Returns one SolveStats per
-/// column, each equivalent to an independent single-RHS solve (bitwise on
-/// clean runs -- see the header comment).  Unlike the single-RHS drivers
+/// `xs` must have equal size <= max_batch_columns(opts.s, shifted); xs
+/// carries the initial guesses and receives the solutions.  Returns one
+/// SolveStats per column, each equivalent to an independent single-RHS
+/// solve (bitwise on clean runs -- see the header comment).  Unlike the single-RHS drivers
 /// the batched driver does not roll back on detected faults: a column whose
 /// scalar work fails or whose residual goes non-finite is frozen with
 /// breakdown flagged, and the remaining columns continue.  Nor does it run

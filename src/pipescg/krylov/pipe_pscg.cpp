@@ -9,28 +9,6 @@ namespace pipescg::krylov {
 namespace sstep {
 namespace {
 
-// Extend the interleaved power chain w_j = A v_{j-1}, v_j = M^{-1} w_j for
-// j = 1..w.size() from `seed` = v_0.  With a real preconditioner the M^{-1}
-// between consecutive SPMVs makes the chain (M^{-1}A)^j seed -- no
-// matrix-powers kernel can fuse that, so the loop stays interleaved.
-// Without one, apply_pc is a plain copy, the chain degenerates to pure
-// powers of A, and an attached MPK collapses the s halo exchanges into one;
-// the apply_pc copies are kept so v_j stays a distinct vector and the
-// pc_applies counter semantics are unchanged (a null-pc apply_pc does not
-// count).  See DESIGN.md section 8.
-void extend_power_chain(Engine& engine, const Vec& seed, std::span<Vec> w,
-                        std::span<Vec> v) {
-  if (engine.has_matrix_powers() && !engine.has_preconditioner()) {
-    engine.apply_op_powers(seed, w);
-    for (std::size_t j = 0; j < w.size(); ++j) engine.apply_pc(w[j], v[j]);
-    return;
-  }
-  for (std::size_t j = 0; j < w.size(); ++j) {
-    engine.apply_op(j == 0 ? seed : v[j - 1], w[j]);
-    engine.apply_pc(w[j], v[j]);
-  }
-}
-
 // One basis chain of the pipelined loop, double-buffered: degrees 0..s in
 // `lo`, the overlap-window extension s+1..2s in `ext`, and the power towers
 // T[j] = p_j(op) op P_cur, j = 0..s (T[0] = op P_cur).
@@ -48,13 +26,6 @@ struct Chain {
 
   ChainView view(bool next) {
     return next ? ChainView{&lo_next, &ext_next} : ChainView{&lo, &ext};
-  }
-  // Degrees [first, first + count), which lie wholly in lo or in ext.
-  std::span<Vec> degrees(bool next, std::size_t first, std::size_t count) {
-    VecBlock& l = next ? lo_next : lo;
-    if (first < l.size()) return std::span<Vec>(l.data() + first, count);
-    VecBlock& e = next ? ext_next : ext;
-    return std::span<Vec>(e.data() + (first - l.size()), count);
   }
   void advance() {
     std::swap(lo, lo_next);
@@ -106,18 +77,8 @@ SolveStats pipelined_core(Engine& engine, const Vec& b, Vec& x,
     // Degrees [first, first + s) of the (next) chains from degree first-1:
     // s SPMVs (+ s PCs with two chains).
     const auto extend = [&](bool next, std::size_t first) {
-      if (shifted && two)
-        extend_chain_pc(engine, basis, r.view(next), u.view(next), first, su,
-                        scratch);
-      else if (shifted)
-        extend_chain(engine, basis, u.view(next), first, su, scratch);
-      else if (two)
-        extend_power_chain(engine, u.view(next)[first - 1],
-                           r.degrees(next, first, su),
-                           u.degrees(next, first, su));
-      else
-        engine.apply_op_powers(u.view(next)[first - 1],
-                               u.degrees(next, first, su));
+      extend_basis(engine, basis, two, r.view(next), u.view(next), first, su,
+                   scratch);
     };
     // r = b - A x (u = M^{-1} r) and its basis, explicitly.
     const auto anchor = [&](bool next) {

@@ -3,6 +3,8 @@
 //
 // One blocking allreduce per outer iteration, s+1 PCs and s+1 SPMVs: the
 // residual and the preconditioned power basis are recomputed explicitly.
+// Runs the shared blocking core (sstep::blocking_core) with the two-chain,
+// explicit-residual policy.
 #pragma once
 
 #include "pipescg/krylov/solver.hpp"

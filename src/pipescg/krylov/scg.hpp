@@ -3,7 +3,8 @@
 //
 // One *blocking* allreduce per outer iteration (= s CG steps), s+1 SPMVs per
 // outer iteration: the residual is recomputed explicitly as r = b - A x
-// before the s basis powers are formed.
+// before the s basis powers are formed.  Runs the shared blocking core
+// (sstep::blocking_core) with the one-chain, explicit-residual policy.
 #pragma once
 
 #include "pipescg/krylov/solver.hpp"

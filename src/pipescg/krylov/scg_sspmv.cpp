@@ -3,22 +3,27 @@
 #include "pipescg/krylov/sstep_common.hpp"
 
 namespace pipescg::krylov {
+namespace sstep {
 
-SolveStats ScgSspmvSolver::solve(Engine& engine, const Vec& b, Vec& x,
-                                 const SolverOptions& opts) const {
-  using namespace sstep;
-  AttemptRunner run(engine, b, x, opts, name(), /*preconditioned=*/false);
+SolveStats blocking_core(Engine& engine, const Vec& b, Vec& x,
+                         const SolverOptions& opts,
+                         const std::string& method_name,
+                         const BlockingPolicy& policy) {
+  const bool two = policy.preconditioned;
+  AttemptRunner run(engine, b, x, opts, method_name, two);
   std::size_t& iterations = run.iterations;
   double& rnorm = run.rnorm;
+  // One chain carries no PC: its true residual is always the plain one.
+  const NormType flavor = two ? opts.norm : NormType::kUnpreconditioned;
   Vec gap_r = engine.new_vec();
   Vec scratch = engine.new_vec();
 
   return run.run(opts.s, [&](int s_att) -> Step {
     const ShiftedBasis basis(run.basis_spec, s_att);
-    ScgColumn col(engine, basis);
+    ScgColumn col(engine, basis, two);
     col.start(engine, b, x, scratch);
 
-    const DotLayout layout{s_att, /*preconditioned=*/false, !basis.monomial()};
+    const DotLayout layout{s_att, two, !basis.monomial()};
     std::vector<DotPair> pairs;
     // One spare slot for the piggybacked gap-check dot.
     std::vector<double> values(layout.total() + 1);
@@ -46,24 +51,23 @@ SolveStats ScgSspmvSolver::solve(Engine& engine, const Vec& b, Vec& x,
         run.recovery.save(x.span(), iterations, rnorm);
 
       // The recurred residual needs no SPMV -- unless the gap monitor
-      // demanded a replacement, which re-anchors it to the truth.
-      const bool replaced_now = force_replace;
+      // demanded a replacement, which re-anchors it to the truth.  The
+      // explicit-residual policy anchors every outer iteration; those
+      // rebuilds are the method itself, not replacements.
+      const bool replaced_now = policy.explicit_residual || force_replace;
+      if (force_replace) ++run.stats.replacements;
       force_replace = false;
-      if (replaced_now) ++run.stats.replacements;
       col.step(engine, sw, b, x, replaced_now, scratch);
 
-      // Gap check.  Skipped on replacement iterations -- the residual was
-      // just anchored to the truth, so the comparison would be vacuously
-      // zero and reset the failure ladder without measuring recurrence
-      // health.
+      // Gap check.  Skipped on truth-anchored iterations -- the comparison
+      // would be vacuously zero and reset the failure ladder without
+      // measuring recurrence health -- so never under explicit residuals.
       const bool gap_due =
           run.gap.enabled() && !replaced_now &&
           ((col.outer + 1) % static_cast<std::size_t>(run.gap_period)) == 0;
       col.dot_pairs(layout, /*next=*/true, pairs);
       if (gap_due)
-        pairs.push_back(true_residual(engine, b, x,
-                                      NormType::kUnpreconditioned, gap_r,
-                                      scratch));
+        pairs.push_back(true_residual(engine, b, x, flavor, gap_r, scratch));
       engine.dots(pairs, values);
       if (run.recovery.active() && !batch_finite(active)) return Step::kFault;
 
@@ -84,6 +88,15 @@ SolveStats ScgSspmvSolver::solve(Engine& engine, const Vec& b, Vec& x,
     run.stats.converged = rnorm < run.tol;
     return Step::kStop;
   });
+}
+
+}  // namespace sstep
+
+SolveStats ScgSspmvSolver::solve(Engine& engine, const Vec& b, Vec& x,
+                                 const SolverOptions& opts) const {
+  return sstep::blocking_core(engine, b, x, opts, name(),
+                              {/*preconditioned=*/false,
+                               /*explicit_residual=*/false});
 }
 
 }  // namespace pipescg::krylov

@@ -3,7 +3,9 @@
 // The stepping stone between sCG and PIPE-sCG: the explicit residual
 // r = b - A x is replaced by the recurrence r <- r - (A P) alpha, removing
 // the extra SPMV (s instead of s+1 per outer iteration).  The allreduce is
-// still blocking -- pipelining comes in Algorithm 5.
+// still blocking -- pipelining comes in Algorithm 5.  Its file holds the
+// shared blocking core (sstep::blocking_core), run here with the one-chain,
+// recurred-residual policy.
 #pragma once
 
 #include "pipescg/krylov/solver.hpp"

@@ -61,8 +61,9 @@ struct SolverOptions {
   // recurred residual every `replacement_period` outer iterations, bounding
   // the drift of the tower recurrences (reliable-update technique; costs s
   // extra SPMVs+PCs per replacement, honestly recorded in the trace).
-  //   0  = auto: period 16 for s <= 3 (truth anchoring), 4 at s = 4,
-  //        1 at s >= 5 (measured stability limits)
+  //   0  = auto: period 16 at every s under a Newton or Chebyshev basis;
+  //        monomial: 16 for s <= 3 (truth anchoring), 4 at s = 4, 1 at
+  //        s >= 5 (measured stability limits)
   //   <0 = always disabled (pure recurrences, exactly the paper's Alg. 5/6)
   //   >0 = explicit period
   int replacement_period = 0;

@@ -26,6 +26,28 @@ bool all_finite(std::span<const double> v) {
   return true;
 }
 
+// Extend the interleaved power chain w_j = A v_{j-1}, v_j = M^{-1} w_j for
+// j = 1..w.size() from `seed` = v_0.  With a real preconditioner the M^{-1}
+// between consecutive SPMVs makes the chain (M^{-1}A)^j seed -- no
+// matrix-powers kernel can fuse that, so the loop stays interleaved.
+// Without one, apply_pc is a plain copy, the chain degenerates to pure
+// powers of A, and an attached MPK collapses the s halo exchanges into one;
+// the apply_pc copies are kept so v_j stays a distinct vector and the
+// pc_applies counter semantics are unchanged (a null-pc apply_pc does not
+// count).  See DESIGN.md section 8.
+void extend_power_chain(Engine& engine, const Vec& seed, std::span<Vec> w,
+                        std::span<Vec> v) {
+  if (engine.has_matrix_powers() && !engine.has_preconditioner()) {
+    engine.apply_op_powers(seed, w);
+    for (std::size_t j = 0; j < w.size(); ++j) engine.apply_pc(w[j], v[j]);
+    return;
+  }
+  for (std::size_t j = 0; j < w.size(); ++j) {
+    engine.apply_op(j == 0 ? seed : v[j - 1], w[j]);
+    engine.apply_pc(w[j], v[j]);
+  }
+}
+
 }  // namespace
 
 ScalarWork::ScalarWork(int s) : s_(s), w_prev_(0, 0) {
@@ -318,6 +340,20 @@ obs::Checkpoint TelemetrySnapshot::take(int s) {
   return cp;
 }
 
+void extend_basis(Engine& engine, const ShiftedBasis& basis,
+                  bool preconditioned, ChainView w, ChainView v,
+                  std::size_t first, std::size_t count, Vec& scratch) {
+  if (!basis.monomial() && preconditioned)
+    extend_chain_pc(engine, basis, w, v, first, count, scratch);
+  else if (!basis.monomial())
+    extend_chain(engine, basis, v, first, count, scratch);
+  else if (preconditioned)
+    extend_power_chain(engine, v[first - 1], w.degrees(first, count),
+                       v.degrees(first, count));
+  else
+    engine.apply_op_powers(v[first - 1], v.degrees(first, count));
+}
+
 void record_basis(SolveStats& stats, const BasisSpec& spec) {
   stats.basis = to_string(spec.type);
   stats.basis_lambda_min = spec.lambda_min;
@@ -419,57 +455,67 @@ Step AttemptRunner::scalar_failure(const ScalarWork::Result& sw) {
   return Step::kStop;
 }
 
-ScgColumn::ScgColumn(Engine& engine, const ShiftedBasis& basis)
+ScgColumn::ScgColumn(Engine& engine, const ShiftedBasis& basis,
+                     bool preconditioned)
     : basis(&basis),
+      preconditioned(preconditioned),
       chain(engine.new_block(static_cast<std::size_t>(basis.s()) + 1)),
       chain_next(engine.new_block(static_cast<std::size_t>(basis.s()) + 1)),
+      rchain(engine.new_block(
+          preconditioned ? static_cast<std::size_t>(basis.s()) + 1 : 0)),
+      rchain_next(engine.new_block(
+          preconditioned ? static_cast<std::size_t>(basis.s()) + 1 : 0)),
       dir(engine, static_cast<std::size_t>(basis.s())),
       update(engine),
       scalar_work(basis.s()) {}
 
 namespace {
 
-// Degrees 1..s of `chain` from its column 0: s SPMVs, fused into one halo
-// exchange when an MPK is attached (monomial only; shifted chains
-// interleave the three-term combinations).
-void build_basis(Engine& engine, const ShiftedBasis& basis, VecBlock& chain,
-                 Vec& scratch) {
-  const std::size_t su = static_cast<std::size_t>(basis.s());
-  if (basis.monomial())
-    engine.apply_op_powers(chain[0], std::span<Vec>(chain.data() + 1, su));
-  else
-    extend_chain(engine, basis, ChainView{&chain, nullptr}, 1, su, scratch);
+// The basis of the residual in w[0]: first, when `anchor`, w[0] = b - A x
+// (one SPMV); then v[0] = M^{-1} w[0] when preconditioned, and degrees 1..s
+// of the chains.
+void build_basis(Engine& engine, const ShiftedBasis& basis, const Vec& b,
+                 const Vec& x, VecBlock& w, VecBlock& v, bool preconditioned,
+                 bool anchor, Vec& scratch) {
+  if (anchor) {
+    engine.apply_op(x, scratch);
+    engine.waxpy(w[0], -1.0, scratch, b);
+  }
+  if (preconditioned) engine.apply_pc(w[0], v[0]);
+  extend_basis(engine, basis, preconditioned, ChainView{&w, nullptr},
+               ChainView{&v, nullptr}, 1, static_cast<std::size_t>(basis.s()),
+               scratch);
 }
 
 }  // namespace
 
 void ScgColumn::start(Engine& engine, const Vec& b, const Vec& x,
                       Vec& scratch) {
-  engine.apply_op(x, scratch);
-  engine.waxpy(chain[0], -1.0, scratch, b);
-  build_basis(engine, *basis, chain, scratch);
+  build_basis(engine, *basis, b, x, preconditioned ? rchain : chain, chain,
+              preconditioned, /*anchor=*/true, scratch);
 }
 
 void ScgColumn::step(Engine& engine, const ScalarWork::Result& sw,
                      const Vec& b, Vec& x, bool replace, Vec& scratch) {
-  dir.update(update, sw, outer == 0, chain, chain, basis, x);
-  update.block_combine(chain_next[0], chain[0], dir.ap_cur, sw.alpha);
+  VecBlock& w = preconditioned ? rchain : chain;
+  VecBlock& w_next = preconditioned ? rchain_next : chain_next;
+  dir.update(update, sw, outer == 0, chain, w, basis, x);
+  if (!replace) update.block_combine(w_next[0], w[0], dir.ap_cur, sw.alpha);
   update.run();
-  if (replace) {
-    engine.apply_op(x, scratch);
-    engine.waxpy(chain_next[0], -1.0, scratch, b);
-  }
-  build_basis(engine, *basis, chain_next, scratch);
+  build_basis(engine, *basis, b, x, w_next, chain_next, preconditioned,
+              replace, scratch);
 }
 
 void ScgColumn::dot_pairs(const DotLayout& layout, bool next,
                           std::vector<DotPair>& out) const {
-  const VecBlock& c = next ? chain_next : chain;
-  build_dot_pairs(layout, c, c, dir.ap_cur, out);
+  const VecBlock& v = next ? chain_next : chain;
+  const VecBlock& w = preconditioned ? (next ? rchain_next : rchain) : v;
+  build_dot_pairs(layout, w, v, dir.ap_cur, out);
 }
 
 void ScgColumn::advance() {
   std::swap(chain, chain_next);
+  std::swap(rchain, rchain_next);
   dir.advance();
   ++outer;
 }

@@ -27,8 +27,9 @@
 // the allreduce (paper Alg. 5/6/7).
 //
 // The drivers are policies over one skeleton (DESIGN.md section 6, "Driver
-// skeleton"): AttemptRunner owns the solve-wide scaffolding, pipelined_core
-// the one pipelined loop, ScgColumn the sCG-sSPMV column step.
+// skeleton"): AttemptRunner owns the solve-wide scaffolding, blocking_core
+// the one blocking loop (sCG, PsCG, sCG-sSPMV: Algs. 2-4) over ScgColumn's
+// outer step, pipelined_core the one pipelined loop (Algs. 5-7).
 #pragma once
 
 #include <functional>
@@ -152,8 +153,9 @@ void build_dot_pairs(const DotLayout& layout, const VecBlock& w,
 bool batch_finite(std::span<const double> values);
 
 /// Resolve SolverOptions::replacement_period for depth s: explicit values
-/// pass through; auto (0) uses period 16 at s <= 3 (cheap truth anchoring),
-/// 4 at s = 4 and 1 at s >= 5 (measured stability limits of the
+/// pass through; auto (0) uses period 16 under a Newton or Chebyshev basis
+/// at every s, and for the monomial basis 16 at s <= 3 (cheap truth
+/// anchoring), 4 at s = 4 and 1 at s >= 5 (measured stability limits of the
 /// monomial-basis tower recurrences; see DESIGN.md).
 int resolve_replacement_period(const SolverOptions& opts, int s);
 
@@ -220,8 +222,8 @@ DotPair true_residual(Engine& engine, const Vec& b, const Vec& x,
 double true_flavored_norm(Engine& engine, const Vec& b, const Vec& x,
                           NormType norm, Vec& scratch_r, Vec& scratch_u);
 
-/// The direction block P and its A-image AP of the blocking s-step loops
-/// (scg, pscg and ScgColumn: paper Algs. 2-4), double-buffered.
+/// The direction block P and its A-image AP of the blocking s-step loop
+/// (ScgColumn: paper Algs. 2-4), double-buffered.
 struct DirectionBlocks {
   DirectionBlocks(Engine& engine, std::size_t s);
 
@@ -263,6 +265,16 @@ struct TelemetrySnapshot {
   /// The checkpoint readings at block size `s`; consumes the gap readings.
   obs::Checkpoint take(int s);
 };
+
+/// Degrees [first, first + count) of the basis chains from degree first - 1:
+/// `count` SPMVs, plus `count` PCs when `preconditioned` (`w` the r-side
+/// chain W = M V, `v` the u-side chain V; one chain S passed as both when
+/// not).  Monomial chains run through the power kernels, so an attached MPK
+/// fuses the halo exchanges of an unpreconditioned chain into one; shifted
+/// chains interleave the three-term combinations with the SPMVs.
+void extend_basis(Engine& engine, const ShiftedBasis& basis,
+                  bool preconditioned, ChainView w, ChainView v,
+                  std::size_t first, std::size_t count, Vec& scratch);
 
 /// Stamp the resolved basis family and shift interval into `stats`.
 void record_basis(SolveStats& stats, const BasisSpec& spec);
@@ -320,36 +332,62 @@ struct AttemptRunner {
   double rnorm = 0.0;
 };
 
-/// One sCG-sSPMV system (paper Alg. 4): the basis S = [p_0(A) r, ...,
-/// p_s(A) r], the direction block P and its A-image AP carried by
-/// recurrence, and the system's scalar work.  ScgSspmvSolver runs one;
-/// scg_multi_solve runs k in lockstep with their dot batches fused.
+/// One blocking s-step system (paper Algs. 2-4): the u-side basis
+/// V = [p_0(M^{-1}A) u, ..., p_s(M^{-1}A) u] (S = [p_j(A) r] when
+/// unpreconditioned) plus, when preconditioned, its r-side twin W = M V,
+/// the direction block P and its A-image AP carried by recurrence, and the
+/// system's scalar work.  blocking_core runs one; scg_multi_solve runs k
+/// unpreconditioned, recurred ones in lockstep with their dot batches fused.
 struct ScgColumn {
-  ScgColumn(Engine& engine, const ShiftedBasis& basis);
+  ScgColumn(Engine& engine, const ShiftedBasis& basis,
+            bool preconditioned = false);
 
-  /// r_0 = b - A x into S[0], then the basis (s SPMVs).
+  /// The anchor: r = b - A x, u = M^{-1} r when preconditioned, then the
+  /// basis (s SPMVs, plus s PCs when preconditioned).
   void start(Engine& engine, const Vec& b, const Vec& x, Vec& scratch);
-  /// One outer step with scalar work `sw`: P = S + P_prev B and AP likewise
-  /// (Alg. 4 lines 9-11), x += P alpha and the recurred residual
-  /// r - AP alpha (lines 12-13) -- re-anchored to b - A x (one SPMV) when
-  /// `replace` -- then the basis of the new residual into S_next (s SPMVs,
-  /// one halo epoch with an MPK attached; lines 14-15).
+  /// One outer step with scalar work `sw`: P = V + P_prev B and AP likewise
+  /// (Alg. 4 lines 9-11), x += P alpha, then the new residual -- recurred
+  /// as r - AP alpha (lines 12-13), or re-anchored to b - A x (one SPMV,
+  /// Algs. 2/3) when `replace`, in which case no recurrence is issued --
+  /// and the basis of the new residual into the next chains (lines 14-15).
   void step(Engine& engine, const ScalarWork::Result& sw, const Vec& b,
             Vec& x, bool replace, Vec& scratch);
-  /// The dot batch over S (next = false) or S_next (next = true) and AP.
+  /// The dot batch over the current (next = false) or next chains and AP.
   void dot_pairs(const DotLayout& layout, bool next,
                  std::vector<DotPair>& out) const;
-  /// Swap the double buffers: S_next becomes S, P becomes P_prev, AP
-  /// becomes AP_prev.
+  /// Swap the double buffers: the next chains become current, P becomes
+  /// P_prev, AP becomes AP_prev.
   void advance();
 
   const ShiftedBasis* basis;
-  VecBlock chain, chain_next;  // S and S_next (s+1 columns each)
+  bool preconditioned;
+  VecBlock chain, chain_next;    // V (or S) and its next (s+1 columns each)
+  VecBlock rchain, rchain_next;  // W = M V and its next; empty when not
+                                 // preconditioned
   DirectionBlocks dir;
   VectorBatch update;
   ScalarWork scalar_work;
   std::size_t outer = 0;
 };
+
+/// What a blocking s-step variant fixes; the paper's Algs. 2-4 differ only
+/// in these.  Chosen by the solver's identity, never by a user option.
+struct BlockingPolicy {
+  // Two basis chains (u-side V and r-side W = M V, PsCG, Alg. 3) or one
+  // (S = A^j r, sCG and sCG-sSPMV, Algs. 2/4).
+  bool preconditioned;
+  // Rebuild the residual as b - A x every outer iteration (one SPMV more,
+  // sCG and PsCG) or recur it as r - AP alpha (sCG-sSPMV).
+  bool explicit_residual;
+};
+
+/// The blocking s-step loop (paper Algs. 2-4): one blocking allreduce per
+/// outer iteration over ScgColumn, under AttemptRunner's rollback, with the
+/// residual-gap monitor on the recurred-residual policy.
+SolveStats blocking_core(Engine& engine, const Vec& b, Vec& x,
+                         const SolverOptions& opts,
+                         const std::string& method_name,
+                         const BlockingPolicy& policy);
 
 /// What a pipelined s-step variant fixes; the paper's Algs. 5-7 differ only
 /// in these.  Chosen by the solver's identity, never by a user option.

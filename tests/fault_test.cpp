@@ -1,6 +1,6 @@
 // Fault-injection harness tests: spec grammar, checkpoint/rollback unit
-// behaviour, and the fault matrix -- every fault kind against every
-// pipelined s-step method on the real SPMD runtime.  The contract under
+// behaviour, and the fault matrix -- every fault kind against the s-step
+// methods on the real SPMD runtime.  The contract under
 // test (DESIGN.md section 9): a faulty solve either converges after
 // recovery or stops with a clean diagnostic; it never hangs and never
 // reports convergence with a garbage iterate.
@@ -333,7 +333,8 @@ TEST_P(FaultMatrixTest, DeadRankNeverHangs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Methods, FaultMatrixTest,
-                         ::testing::Values("pipe-scg", "pipe-pscg", "hybrid"),
+                         ::testing::Values("scg", "pscg", "pipe-scg",
+                                           "pipe-pscg", "hybrid"),
                          [](const auto& info) {
                            std::string n = info.param;
                            for (char& ch : n)
@@ -367,7 +368,8 @@ TEST(FaultCleanRunTest, RecoveryOnIsBitwiseIdenticalToRecoveryOff) {
   krylov::SolverOptions base;
   base.rtol = 1e-6;
   base.s = 3;
-  for (const char* method : {"pipe-scg", "pipe-pscg", "scg-sspmv"}) {
+  for (const char* method :
+       {"scg", "pscg", "scg-sspmv", "pipe-scg", "pipe-pscg"}) {
     krylov::SolverOptions on = base, off = base;
     on.recovery = true;
     off.recovery = false;

@@ -228,7 +228,7 @@ TEST(MultiRhsTest, MatchesIndependentSolvesColumnWise) {
   const sparse::CsrMatrix a = test_matrix();
   const krylov::SolverOptions opts = test_opts();
   const std::size_t k = 3;
-  ASSERT_LE(k, krylov::max_batch_columns(opts.s));
+  ASSERT_LE(k, krylov::max_batch_columns(opts.s, /*shifted_basis=*/false));
 
   // Independent reference solves on a serial engine.
   std::vector<std::vector<double>> x_ref(k);
@@ -313,7 +313,8 @@ TEST(MultiRhsTest, SessionBatchMatchesIndependentSessionSolves) {
 
 TEST(MultiRhsTest, BatchWidthIsCappedByPayload) {
   // The fused payload k * (2s+1 + s^2) must fit one allreduce slot.
-  const std::size_t cap3 = krylov::max_batch_columns(3);
+  const std::size_t cap3 =
+      krylov::max_batch_columns(3, /*shifted_basis=*/false);
   EXPECT_EQ(cap3, par::Team::kMaxPayload / (2 * 3 + 1 + 3 * 3));
   EXPECT_GE(cap3, 16u);
 }
@@ -432,7 +433,8 @@ TEST(AdmissionQueueTest, DrainCapsBatchWidthAtTheFusedPayload) {
   opts.s = 16;
   opts.rtol = 1e-6;
   opts.max_iterations = 400;
-  const std::size_t width = krylov::max_batch_columns(opts.s);
+  const std::size_t width =
+      krylov::max_batch_columns(opts.s, /*shifted_basis=*/false);
   ASSERT_LT(width, 16u);
   SessionConfig config;
   config.ranks = 2;
