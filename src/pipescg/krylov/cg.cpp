@@ -12,7 +12,7 @@ SolveStats CgSolver::solve(Engine& engine, const Vec& b, Vec& x,
                            const SolverOptions& opts) const {
   SolveStats stats;
   stats.method = name();
-  stats.b_norm = detail::compute_b_norm(engine, b, opts.norm);
+  stats.b_norm = detail::compute_b_norm(engine, {&b, 1}, opts.norm)[0];
 
   Vec r = engine.new_vec();
   Vec u = engine.new_vec();

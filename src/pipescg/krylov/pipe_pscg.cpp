@@ -44,7 +44,9 @@ SolveStats pipelined_core(Engine& engine, const Vec& b, Vec& x,
                           const std::string& method_name,
                           const PipelinedPolicy& policy) {
   const bool two = policy.preconditioned;
-  AttemptRunner run(engine, b, x, opts, method_name, two);
+  const double b_norm = detail::compute_b_norm(engine, {&b, 1}, opts.norm)[0];
+  AttemptRunner run(engine, b, x, opts, method_name, policy.s, b_norm,
+                    resolve_basis(engine, opts.basis, two));
   SolveStats& stats = run.stats;
   std::size_t& iterations = run.iterations;
   double& rnorm = run.rnorm;
@@ -57,7 +59,7 @@ SolveStats pipelined_core(Engine& engine, const Vec& b, Vec& x,
   Vec gap_r = engine.new_vec();
   Vec gap_u = engine.new_vec();
 
-  return run.run(policy.s, [&](int s_att) -> Step {
+  return run.run([&](int s_att) -> Step {
     const std::size_t su = static_cast<std::size_t>(s_att);
     const ShiftedBasis basis(run.basis_spec, s_att);
     const bool shifted = !basis.monomial();
@@ -130,7 +132,7 @@ SolveStats pipelined_core(Engine& engine, const Vec& b, Vec& x,
         if (st == Step::kFault) return st;
         if (st == Step::kStop) break;
       }
-      const Step st = run.checkpoint(s_att);
+      const Step st = run.checkpoint();
       if (st == Step::kFault) return st;
       if (st == Step::kStop) break;
       if (iterations > 0) engine.mark_iteration(iterations - 1, rnorm);

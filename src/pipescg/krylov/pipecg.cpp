@@ -11,7 +11,7 @@ SolveStats PipeCgSolver::solve(Engine& engine, const Vec& b, Vec& x,
                                const SolverOptions& opts) const {
   SolveStats stats;
   stats.method = name();
-  stats.b_norm = detail::compute_b_norm(engine, b, opts.norm);
+  stats.b_norm = detail::compute_b_norm(engine, {&b, 1}, opts.norm)[0];
 
   Vec r = engine.new_vec();  // residual
   Vec u = engine.new_vec();  // M^{-1} r

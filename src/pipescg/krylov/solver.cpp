@@ -27,13 +27,26 @@ std::string to_string(NormType norm) { return norm_name(norm); }
 
 namespace detail {
 
-double compute_b_norm(Engine& engine, const Vec& b, NormType norm) {
-  if (norm == NormType::kUnpreconditioned || !engine.has_preconditioner())
-    return std::sqrt(std::max(engine.dot(b, b), 0.0));
-  Vec u = engine.new_vec();
-  engine.apply_pc(b, u);
-  const Vec& x = norm == NormType::kPreconditioned ? u : b;
-  return std::sqrt(std::max(engine.dot(x, u), 0.0));
+std::vector<double> compute_b_norm(Engine& engine, std::span<const Vec> bs,
+                                   NormType norm) {
+  const bool plain =
+      norm == NormType::kUnpreconditioned || !engine.has_preconditioner();
+  std::vector<Vec> us;  // PC images, one per column when not plain
+  us.reserve(bs.size());
+  std::vector<DotPair> pairs;
+  for (const Vec& b : bs) {
+    if (plain) {
+      pairs.push_back(DotPair{&b, &b});
+      continue;
+    }
+    Vec& u = us.emplace_back(engine.new_vec());
+    engine.apply_pc(b, u);
+    pairs.push_back(DotPair{norm == NormType::kPreconditioned ? &u : &b, &u});
+  }
+  std::vector<double> norms(bs.size());
+  engine.dots(pairs, norms);
+  for (double& v : norms) v = std::sqrt(std::max(v, 0.0));
+  return norms;
 }
 
 double threshold(const SolveStats& stats, const SolverOptions& opts) {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -160,9 +161,11 @@ namespace detail {
 /// Convergence reference: ||b|| measured in the *same flavor* as the
 /// residual norm the test uses (||M^{-1}b|| for the preconditioned norm,
 /// sqrt(b^T M^{-1} b) for the natural norm), so rtol means the same thing
-/// across flavors.  Costs one setup dot (plus one PC application for the
+/// across flavors.  One entry per right-hand side of `bs`, from one fused
+/// setup dot batch (plus one PC application per column for the
 /// preconditioned/natural flavors).
-double compute_b_norm(Engine& engine, const Vec& b, NormType norm);
+std::vector<double> compute_b_norm(Engine& engine, std::span<const Vec> bs,
+                                   NormType norm);
 
 /// Convergence threshold per the convention above.
 double threshold(const SolveStats& stats, const SolverOptions& opts);

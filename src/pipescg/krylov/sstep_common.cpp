@@ -362,63 +362,68 @@ void record_basis(SolveStats& stats, const BasisSpec& spec) {
 
 AttemptRunner::AttemptRunner(Engine& engine, const Vec& b, Vec& x,
                              const SolverOptions& opts,
-                             const std::string& method, bool preconditioned)
+                             const std::string& method, int s, double b_norm,
+                             const BasisSpec& basis_spec)
     : engine(engine),
       b(b),
       x(x),
       opts(opts),
+      s(s),
+      basis_spec(basis_spec),
       gap(opts.gap_tol),
       gap_period(resolve_gap_period(opts)),
       recovery(opts.recovery, opts.max_recoveries) {
   stats.method = method;
-  stats.b_norm = detail::compute_b_norm(engine, b, opts.norm);
+  stats.b_norm = b_norm;
   tol = detail::threshold(stats, opts);
-  // Basis shifts resolved once per solve (setup-only collectives for the
-  // non-monomial families; a monomial spec passes through with no kernels,
-  // keeping default-configuration trajectories bitwise identical).
-  basis_spec = resolve_basis(engine, opts.basis, preconditioned);
   record_basis(stats, basis_spec);
   // The initial save means there is always a checkpoint to roll back to.
   if (recovery.active())
     recovery.save(x.span(), 0, std::numeric_limits<double>::infinity());
 }
 
-SolveStats AttemptRunner::run(int s,
-                              const std::function<Step(int s_att)>& attempt) {
-  int cur_s = s;
-  for (;;) {
-    gap.new_attempt();
-    if (attempt(cur_s) != Step::kFault) break;
-    if (!recovery.admit_failure()) {
-      // Recovery budget exhausted: report the failure honestly.
-      stats.breakdown = true;
-      stats.stagnated = true;
-      break;
-    }
-    iterations = recovery.restore(x.span());
-    rnorm = recovery.checkpoint_rnorm();
-    ++stats.recoveries;
-    if (obs::Profiler* prof = obs::Profiler::current())
-      ++prof->counters().recoveries;
-    if (recovery.should_degrade() && cur_s > 1) {
-      cur_s = std::max(1, cur_s - 1);
-      recovery.acknowledge_degrade();
-    }
+SolveStats AttemptRunner::run(const std::function<Step(int s_att)>& attempt) {
+  while (attempt(s) == Step::kFault && recover()) {
   }
+  return finish();
+}
+
+bool AttemptRunner::recover() {
+  if (!recovery.admit_failure()) {
+    // Recovery budget exhausted: report the failure honestly.
+    stats.breakdown = true;
+    stats.stagnated = true;
+    return false;
+  }
+  iterations = recovery.restore(x.span());
+  rnorm = recovery.checkpoint_rnorm();
+  ++stats.recoveries;
+  if (obs::Profiler* prof = obs::Profiler::current())
+    ++prof->counters().recoveries;
+  if (recovery.should_degrade() && s > 1) {
+    --s;
+    recovery.acknowledge_degrade();
+  }
+  gap.new_attempt();
+  return true;
+}
+
+SolveStats AttemptRunner::finish() {
   // A solve that needed rollbacks and still failed to reach the tolerance
   // is a stagnation: the recovery layer kept it alive past diagnostics the
   // non-recovering driver would have stopped on, so report the failure
   // class those diagnostics would have carried.
   if (!stats.converged && stats.recoveries > 0) stats.stagnated = true;
-  stats.final_s = cur_s;
+  stats.final_s = s;
   stats.iterations = iterations;
   stats.final_rnorm = rnorm;
   detail::finalize_stats(engine, b, x, opts, stats);
   return std::move(stats);
 }
 
-Step AttemptRunner::checkpoint(int s_att) {
-  if (detail::checkpoint(stats, opts, iterations, rnorm, 0, telem.take(s_att)))
+Step AttemptRunner::checkpoint() {
+  if (detail::checkpoint(stats, opts, iterations, rnorm, column,
+                         telem.take(s)))
     return Step::kGo;
   if (recovery.active()) {
     stats.breakdown = false;  // rolling back, not stopping

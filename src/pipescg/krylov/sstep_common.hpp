@@ -27,9 +27,10 @@
 // the allreduce (paper Alg. 5/6/7).
 //
 // The drivers are policies over one skeleton (DESIGN.md section 6, "Driver
-// skeleton"): AttemptRunner owns the solve-wide scaffolding, blocking_core
-// the one blocking loop (sCG, PsCG, sCG-sSPMV: Algs. 2-4) over ScgColumn's
-// outer step, pipelined_core the one pipelined loop (Algs. 5-7).
+// skeleton"): AttemptRunner owns the per-right-hand-side scaffolding,
+// blocking_core the one blocking loop (sCG, PsCG, sCG-sSPMV: Algs. 2-4,
+// 1..k columns) over ScgColumn's outer step, pipelined_core the one
+// pipelined loop (Algs. 5-7).
 #pragma once
 
 #include <functional>
@@ -284,29 +285,35 @@ void record_basis(SolveStats& stats, const BasisSpec& spec);
 /// fault the recovery layer rolls back.
 enum class Step { kGo, kStop, kFault };
 
-/// The solve-wide scaffolding every single-RHS s-step driver shares.
+/// The per-right-hand-side scaffolding every s-step driver shares.
 ///
-/// Construction resolves ||b||, the tolerance and the basis shifts (setup
-/// collectives, in that order) and saves the initial recovery checkpoint.
-/// run() then calls the driver's attempt at depth s; an attempt either runs
-/// to a terminal state or reports a fault, in which case x is rolled back,
-/// s is degraded after repeated no-progress failures, and a fresh attempt
-/// rebuilds the basis from the restored iterate.  Every verdict derives
-/// from reduced dot batches, identical on all ranks, so rollback stays in
-/// SPMD lockstep with no extra communication.  A clean run is a single
-/// attempt whose arithmetic is identical to a non-recovering driver.
+/// The driver resolves ||b|| and the basis shifts (setup collectives, in
+/// that order); construction derives the tolerance and saves the initial
+/// recovery checkpoint.  An attempt at depth s either runs to a terminal
+/// state or reports a fault; recover() then rolls x back, degrades s after
+/// repeated no-progress failures, and the driver's fresh attempt rebuilds
+/// the basis from the restored iterate.  Every verdict derives from reduced
+/// dot batches, identical on all ranks, so rollback stays in SPMD lockstep
+/// with no extra communication.  A clean run is a single attempt whose
+/// arithmetic is identical to a non-recovering driver.
 struct AttemptRunner {
   AttemptRunner(Engine& engine, const Vec& b, Vec& x,
-                const SolverOptions& opts, const std::string& method,
-                bool preconditioned);
+                const SolverOptions& opts, const std::string& method, int s,
+                double b_norm, const BasisSpec& basis_spec);
 
-  /// Attempts at depth s until one ends without a fault (or the recovery
-  /// budget is spent), then the final stats epilogue.
-  SolveStats run(int s, const std::function<Step(int s_att)>& attempt);
+  /// Attempts until one ends without a fault (or the recovery budget is
+  /// spent), then finish().
+  SolveStats run(const std::function<Step(int s_att)>& attempt);
+  /// After a faulted attempt: restore x, count the recovery and degrade s
+  /// after repeated failures.  False -- with breakdown and stagnation
+  /// flagged -- once the recovery budget is spent.
+  bool recover();
+  /// The final stats epilogue.
+  SolveStats finish();
 
   /// Residual checkpoint of (iterations, rnorm): telemetry + history.  A
   /// non-finite residual is a fault when recovery is active, else a stop.
-  Step checkpoint(int s_att);
+  Step checkpoint();
   /// Feed one resolved gap check (the reduced true-residual norm^2) to the
   /// GapMonitor: sets `force_replace` on a replace verdict; an escalation
   /// hands the RecoveryManager a degrade-s request (fault) or, without
@@ -320,6 +327,8 @@ struct AttemptRunner {
   Vec& x;
   const SolverOptions& opts;
   SolveStats stats;
+  int s;                   // the current attempt's depth
+  std::size_t column = 0;  // right-hand side index in a batched solve
   double tol = 0.0;
   BasisSpec basis_spec;
   // The gap monitor and the recovery manager outlive attempts: the failure
@@ -336,11 +345,10 @@ struct AttemptRunner {
 /// V = [p_0(M^{-1}A) u, ..., p_s(M^{-1}A) u] (S = [p_j(A) r] when
 /// unpreconditioned) plus, when preconditioned, its r-side twin W = M V,
 /// the direction block P and its A-image AP carried by recurrence, and the
-/// system's scalar work.  blocking_core runs one; scg_multi_solve runs k
-/// unpreconditioned, recurred ones in lockstep with their dot batches fused.
+/// system's scalar work.  blocking_core runs one per right-hand side, with
+/// the columns' dot batches fused into one allreduce.
 struct ScgColumn {
-  ScgColumn(Engine& engine, const ShiftedBasis& basis,
-            bool preconditioned = false);
+  ScgColumn(Engine& engine, const ShiftedBasis& basis, bool preconditioned);
 
   /// The anchor: r = b - A x, u = M^{-1} r when preconditioned, then the
   /// basis (s SPMVs, plus s PCs when preconditioned).
@@ -381,13 +389,22 @@ struct BlockingPolicy {
   bool explicit_residual;
 };
 
-/// The blocking s-step loop (paper Algs. 2-4): one blocking allreduce per
-/// outer iteration over ScgColumn, under AttemptRunner's rollback, with the
-/// residual-gap monitor on the recurred-residual policy.
-SolveStats blocking_core(Engine& engine, const Vec& b, Vec& x,
-                         const SolverOptions& opts,
-                         const std::string& method_name,
-                         const BlockingPolicy& policy);
+/// The blocking s-step loop (paper Algs. 2-4) over k >= 1 right-hand sides
+/// against one operator: one ScgColumn and one AttemptRunner per column, and
+/// one blocking allreduce per outer iteration carrying every live column's
+/// dot batch (plus its gap-check dot when one is due).  Each column rolls
+/// back, degrades s and runs the residual-gap monitor on its own; a faulted
+/// column rebuilds its basis and rejoins the next fused batch while the
+/// others keep iterating, and a finished column drops out of the payload.
+/// The fixed-order allreduce reduces every payload entry independently, so
+/// each column's trajectory is bitwise that of its solo solve, and at
+/// k = 1 the engine calls are exactly the single-RHS sequence.  Returns one
+/// SolveStats per column.
+std::vector<SolveStats> blocking_core(Engine& engine, std::span<const Vec> bs,
+                                      std::span<Vec> xs,
+                                      const SolverOptions& opts,
+                                      const std::string& method_name,
+                                      const BlockingPolicy& policy);
 
 /// What a pipelined s-step variant fixes; the paper's Algs. 5-7 differ only
 /// in these.  Chosen by the solver's identity, never by a user option.

@@ -10,15 +10,13 @@ bool batchable(const SolveContext& a, const SolveContext& b) {
   // singly.
   if (a.method() != "scg-sspmv" || b.method() != "scg-sspmv") return false;
   if (a.step_limit() != 0 || b.step_limit() != 0) return false;
-  // Only the single-RHS attempt runner honours the residual-gap monitor
-  // (scg_multi_solve rejects gap_tol > 0), so a gap-monitored job runs
-  // solo.  Session::drain also catches the session-wide default.
-  if (a.options().gap_tol > 0.0 || b.options().gap_tol > 0.0) return false;
+  const krylov::SolverOptions& oa = a.options();
+  const krylov::SolverOptions& ob = b.options();
+  // The head's monitor would fire for every column of the batch.
+  if (oa.monitor || ob.monitor) return false;
   // A batch runs every column with its head's options, so everything the
   // solve reads must match -- the basis spec included, or a Chebyshev job
   // queued behind a monomial one would silently run monomial.
-  const krylov::SolverOptions& oa = a.options();
-  const krylov::SolverOptions& ob = b.options();
   const krylov::BasisSpec& ba = oa.basis;
   const krylov::BasisSpec& bb = ob.basis;
   return oa.s == ob.s && oa.rtol == ob.rtol && oa.atol == ob.atol &&
@@ -27,7 +25,11 @@ bool batchable(const SolveContext& a, const SolveContext& b) {
          ba.lambda_max == bb.lambda_max &&
          ba.power_iterations == bb.power_iterations &&
          ba.interval_ratio == bb.interval_ratio &&
-         oa.gap_check_period == ob.gap_check_period;
+         oa.gap_tol == ob.gap_tol &&
+         oa.gap_check_period == ob.gap_check_period &&
+         oa.recovery == ob.recovery &&
+         oa.max_recoveries == ob.max_recoveries &&
+         oa.compute_true_residual == ob.compute_true_residual;
 }
 
 void AdmissionQueue::submit(SolveContext* ctx) {

@@ -27,10 +27,10 @@ namespace pipescg::service {
 /// True when two contexts may share one multi-RHS batch: same method with a
 /// batched driver ("scg-sspmv" is the one multi-RHS-capable method today),
 /// identical convergence contract (s, rtol, atol, norm, max_iterations, no
-/// step limit) and identical stability settings (basis spec,
-/// gap_check_period) -- a batch runs every column with its head's options.
-/// A job with its own gap_tol > 0 is batchable with nothing: only the
-/// single-RHS drivers run the residual-gap monitor.
+/// step limit), identical stability settings (basis spec, gap monitor,
+/// recovery budget) and the same compute_true_residual -- a batch runs every
+/// column with its head's options.  A job with an iteration monitor batches
+/// with nothing: the head's callback would fire for every column.
 bool batchable(const SolveContext& a, const SolveContext& b);
 
 class AdmissionQueue {

@@ -84,14 +84,8 @@ void Session::solve_batch(std::span<SolveContext* const> ctxs) {
   for (std::size_t i = 1; i < ctxs.size(); ++i)
     PIPESCG_CHECK(batchable(*ctxs[0], *ctxs[i]),
                   "solve_batch contexts are not mutually batchable "
-                  "(method/s/tolerance/norm/max_iterations must match, no "
-                  "step limit, no gap monitor)");
-  // Under a session-wide gap monitor every job runs solo: only the
-  // single-RHS attempt runner honours gap_tol.
-  if (resolved_options(*ctxs[0]).gap_tol > 0.0) {
-    for (SolveContext* ctx : ctxs) solve(*ctx);
-    return;
-  }
+                  "(method/s/tolerance/norm/max_iterations/stability "
+                  "settings must match, no step limit, no monitor)");
   execute(ctxs);
 }
 
@@ -153,18 +147,11 @@ std::size_t Session::drain(AdmissionQueue& queue, std::size_t max_batch) {
     }
     const std::vector<SolveContext*> batch = queue.next_batch(max_batch);
     if (batch.empty()) break;
-    // The fused dot payload bounds the batch width (wider at large s and
-    // for shifted bases); a longer run executes as consecutive batches.
-    // Gap-monitored jobs (the session-wide default, which batchable()
-    // cannot see) run one at a time.
-    const krylov::SolverOptions head = resolved_options(*batch.front());
-    const std::size_t width =
-        head.gap_tol > 0.0
-            ? 1
-            : std::max<std::size_t>(
-                  1, krylov::max_batch_columns(
-                         head.s,
-                         head.basis.type != krylov::BasisType::kMonomial));
+    // The fused dot payload bounds the batch width (wider at large s, for
+    // shifted bases and under the gap monitor); a longer run executes as
+    // consecutive batches.
+    const std::size_t width = std::max<std::size_t>(
+        1, krylov::max_batch_columns(resolved_options(*batch.front())));
     for (std::size_t i = 0; i < batch.size(); i += width) {
       const std::span<SolveContext* const> chunk =
           std::span(batch).subspan(i, std::min(width, batch.size() - i));

@@ -137,8 +137,8 @@ class Session {
 
   /// Drain the admission queue: repeatedly pop the next batchable run
   /// (capped at `max_batch` columns) and execute it -- as consecutive
-  /// batches of at most krylov::max_batch_columns(s, shifted) columns, the
-  /// widest fused payload one allreduce carries -- until the queue is
+  /// batches of at most krylov::max_batch_columns(opts) columns, the widest
+  /// fused payload one allreduce carries -- until the queue is
   /// empty.  Records per-job admission-wait latency.  Returns the number of
   /// jobs executed.
   std::size_t drain(AdmissionQueue& queue, std::size_t max_batch = 16);

@@ -22,6 +22,8 @@
 #include "pipescg/krylov/spmd_engine.hpp"
 #include "pipescg/par/comm.hpp"
 #include "pipescg/precond/jacobi.hpp"
+#include "pipescg/service/queue.hpp"
+#include "pipescg/service/session.hpp"
 #include "pipescg/sparse/dist_csr.hpp"
 #include "pipescg/sparse/partition.hpp"
 #include "pipescg/sparse/surrogates.hpp"
@@ -382,6 +384,60 @@ TEST(FaultCleanRunTest, RecoveryOnIsBitwiseIdenticalToRecoveryOff) {
       ASSERT_EQ(with.x[i], without.x[i]) << method << " i=" << i;
     EXPECT_EQ(with.stats.recoveries, 0u) << method;
   }
+}
+
+// SDC during a batched drain: the column the flip corrupts rolls back on
+// its own while the others keep iterating, so every job converges and
+// every column the fault did not reach is bitwise its solo solve.
+TEST(FaultBatchTest, SdcInABatchedDrainRollsBackOnlyTheHitColumn) {
+  const sparse::CsrMatrix a = sparse::make_thermal2_like(32, 32);
+  krylov::SolverOptions opts;
+  opts.rtol = 1e-5;
+  opts.s = 3;
+  const std::size_t k = 3;
+  const auto rhs = [&](std::size_t j) {
+    std::vector<double> xstar(a.rows());
+    for (std::size_t i = 0; i < xstar.size(); ++i)
+      xstar[i] = 1.0 + 0.5 * std::sin(static_cast<double>(i + 5 * j + 1));
+    std::vector<double> b(a.rows(), 0.0);
+    a.apply(xstar, b);
+    return b;
+  };
+
+  service::SessionConfig config;
+  config.ranks = 2;
+  service::Session clean(a, config);
+  config.fault_specs =
+      fault::parse_fault_specs("kind=sdc:target=spmv:iter=40:bit=61");
+  service::Session faulty(a, config);
+  std::vector<std::unique_ptr<service::SolveContext>> solo, batched;
+  service::AdmissionQueue queue;
+  for (std::size_t j = 0; j < k; ++j) {
+    solo.push_back(
+        std::make_unique<service::SolveContext>("scg-sspmv", rhs(j), opts));
+    clean.solve(*solo.back());
+    batched.push_back(
+        std::make_unique<service::SolveContext>("scg-sspmv", rhs(j), opts));
+    queue.submit(batched.back().get());
+  }
+  EXPECT_EQ(faulty.drain(queue), k);
+  EXPECT_EQ(faulty.team_runs(), 1u);  // one batch
+
+  std::size_t recovered = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    const service::SolveContext& got = *batched[j];
+    ASSERT_TRUE(got.converged()) << "column " << j << ": " << got.error();
+    if (got.stats().recoveries > 0) {
+      ++recovered;
+      continue;
+    }
+    const service::SolveContext& want = *solo[j];
+    EXPECT_EQ(got.stats().history, want.stats().history) << "column " << j;
+    for (std::size_t i = 0; i < want.x().size(); ++i)
+      ASSERT_EQ(got.x()[i], want.x()[i]) << "column " << j << " i=" << i;
+  }
+  EXPECT_GE(recovered, 1u) << "the flip was never detected";
+  EXPECT_LT(recovered, k) << "one flip corrupts one column";
 }
 
 // A solver without rollback machinery still owes the user a clean stop:

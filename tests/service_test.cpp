@@ -225,48 +225,80 @@ TEST(SessionTest, StepLimitedContextResumesToConvergence) {
 }
 
 TEST(MultiRhsTest, MatchesIndependentSolvesColumnWise) {
+  // A clean run (s = 3), rollback then degrade-s (s = 5 monomial) and a
+  // gap-monitor escalation (unattainable gap tolerance, checked every outer
+  // iteration): each column must be bitwise its solo solve, recoveries and
+  // gap checks included.
   const sparse::CsrMatrix a = test_matrix();
-  const krylov::SolverOptions opts = test_opts();
+  krylov::SolverOptions rollback = test_opts();
+  rollback.s = 5;
+  krylov::SolverOptions escalate = test_opts();
+  escalate.gap_tol = 1e-15;
+  escalate.gap_check_period = 1;
   const std::size_t k = 3;
-  ASSERT_LE(k, krylov::max_batch_columns(opts.s, /*shifted_basis=*/false));
+  struct Case {
+    const char* label;
+    krylov::SolverOptions opts;
+    bool recovers;  // the input exercises the recovery ladder
+  };
+  for (const Case& c : {Case{"clean", test_opts(), false},
+                        Case{"rollback", rollback, true},
+                        Case{"escalate", escalate, true}}) {
+    const krylov::SolverOptions& opts = c.opts;
+    ASSERT_LE(k, krylov::max_batch_columns(opts));
 
-  // Independent reference solves on a serial engine.
-  std::vector<std::vector<double>> x_ref(k);
-  std::vector<krylov::SolveStats> stats_ref(k);
-  for (std::size_t j = 0; j < k; ++j) {
+    // Independent reference solves on a serial engine.
+    std::vector<std::vector<double>> x_ref(k);
+    std::vector<krylov::SolveStats> stats_ref(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      krylov::SerialEngine engine(a);
+      krylov::Vec b = engine.new_vec();
+      const std::vector<double> bj = test_rhs(a, j);
+      for (std::size_t i = 0; i < bj.size(); ++i) b[i] = bj[i];
+      krylov::Vec x = engine.new_vec();
+      stats_ref[j] =
+          krylov::make_solver("scg-sspmv")->solve(engine, b, x, opts);
+      // The escalation input spends its whole recovery budget.
+      if (!c.recovers) {
+        ASSERT_TRUE(stats_ref[j].converged) << c.label;
+      }
+      x_ref[j].assign(x.data(), x.data() + x.size());
+    }
+
+    // One batched solve, all k columns with fused dot batches.
     krylov::SerialEngine engine(a);
-    krylov::Vec b = engine.new_vec();
-    const std::vector<double> bj = test_rhs(a, j);
-    for (std::size_t i = 0; i < bj.size(); ++i) b[i] = bj[i];
-    krylov::Vec x = engine.new_vec();
-    stats_ref[j] = krylov::make_solver("scg-sspmv")->solve(engine, b, x, opts);
-    ASSERT_TRUE(stats_ref[j].converged);
-    x_ref[j].assign(x.data(), x.data() + x.size());
-  }
+    std::vector<krylov::Vec> bs;
+    std::vector<krylov::Vec> xs;
+    for (std::size_t j = 0; j < k; ++j) {
+      krylov::Vec b = engine.new_vec();
+      const std::vector<double> bj = test_rhs(a, j);
+      for (std::size_t i = 0; i < bj.size(); ++i) b[i] = bj[i];
+      bs.push_back(std::move(b));
+      xs.push_back(engine.new_vec());
+    }
+    const std::vector<krylov::SolveStats> stats = krylov::scg_multi_solve(
+        engine, std::span<const krylov::Vec>(bs), std::span<krylov::Vec>(xs),
+        opts);
 
-  // One batched solve, all k columns in lockstep with fused dot batches.
-  krylov::SerialEngine engine(a);
-  std::vector<krylov::Vec> bs;
-  std::vector<krylov::Vec> xs;
-  for (std::size_t j = 0; j < k; ++j) {
-    krylov::Vec b = engine.new_vec();
-    const std::vector<double> bj = test_rhs(a, j);
-    for (std::size_t i = 0; i < bj.size(); ++i) b[i] = bj[i];
-    bs.push_back(std::move(b));
-    xs.push_back(engine.new_vec());
-  }
-  const std::vector<krylov::SolveStats> stats = krylov::scg_multi_solve(
-      engine, std::span<const krylov::Vec>(bs), std::span<krylov::Vec>(xs),
-      opts);
-
-  ASSERT_EQ(stats.size(), k);
-  for (std::size_t j = 0; j < k; ++j) {
-    EXPECT_TRUE(stats[j].converged) << "column " << j;
-    EXPECT_EQ(stats[j].iterations, stats_ref[j].iterations) << "column " << j;
-    EXPECT_EQ(stats[j].final_rnorm, stats_ref[j].final_rnorm)
-        << "column " << j;
-    for (std::size_t i = 0; i < x_ref[j].size(); ++i)
-      ASSERT_EQ(xs[j][i], x_ref[j][i]) << "column " << j << " entry " << i;
+    ASSERT_EQ(stats.size(), k);
+    std::size_t recoveries = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      recoveries += stats[j].recoveries;
+      const krylov::SolveStats& got = stats[j];
+      const krylov::SolveStats& want = stats_ref[j];
+      EXPECT_EQ(got.converged, want.converged) << c.label << " column " << j;
+      EXPECT_EQ(got.iterations, want.iterations) << c.label << " column " << j;
+      EXPECT_EQ(got.history, want.history) << c.label << " column " << j;
+      EXPECT_EQ(got.recoveries, want.recoveries) << c.label << " column " << j;
+      EXPECT_EQ(got.final_s, want.final_s) << c.label << " column " << j;
+      EXPECT_EQ(got.gap_checks, want.gap_checks) << c.label << " column " << j;
+      EXPECT_EQ(got.replacements, want.replacements)
+          << c.label << " column " << j;
+      for (std::size_t i = 0; i < x_ref[j].size(); ++i)
+        ASSERT_EQ(xs[j][i], x_ref[j][i])
+            << c.label << " column " << j << " entry " << i;
+    }
+    EXPECT_EQ(recoveries > 0, c.recovers) << c.label;
   }
 }
 
@@ -313,10 +345,15 @@ TEST(MultiRhsTest, SessionBatchMatchesIndependentSessionSolves) {
 
 TEST(MultiRhsTest, BatchWidthIsCappedByPayload) {
   // The fused payload k * (2s+1 + s^2) must fit one allreduce slot.
-  const std::size_t cap3 =
-      krylov::max_batch_columns(3, /*shifted_basis=*/false);
+  const std::size_t cap3 = krylov::max_batch_columns(test_opts());
   EXPECT_EQ(cap3, par::Team::kMaxPayload / (2 * 3 + 1 + 3 * 3));
   EXPECT_GE(cap3, 16u);
+  // The gap monitor reserves one true-residual dot per column: at s = 3,
+  // 256 columns with a due check would need 256 * 17 > kMaxPayload.
+  krylov::SolverOptions gap = test_opts();
+  gap.gap_tol = 1e-3;
+  EXPECT_EQ(krylov::max_batch_columns(gap),
+            par::Team::kMaxPayload / (2 * 3 + 1 + 3 * 3 + 1));
 }
 
 TEST(AdmissionQueueTest, BatchesLongestCompatiblePrefix) {
@@ -390,7 +427,9 @@ TEST(AdmissionQueueTest, DrainExecutesMixedStream) {
 TEST(AdmissionQueueTest, BasisAndGapSettingsSplitBatches) {
   // A batch runs every column with its head's options: a Chebyshev job
   // queued behind a monomial one must not batch with it (it would silently
-  // run monomial), and neither may jobs with different gap monitors.
+  // run monomial), and neither may jobs with different gap monitors,
+  // recovery budgets or true-residual requests.  A job with an iteration
+  // monitor batches with nothing.
   const sparse::CsrMatrix a = test_matrix();
   const krylov::SolverOptions mono = test_opts();
   krylov::SolverOptions cheb = mono;
@@ -401,15 +440,40 @@ TEST(AdmissionQueueTest, BasisAndGapSettingsSplitBatches) {
   gap.gap_tol = 1e-3;
   krylov::SolverOptions gap_period = gap;
   gap_period.gap_check_period = 2;
+  krylov::SolverOptions gap_tighter = gap;
+  gap_tighter.gap_tol = 1e-4;
+  krylov::SolverOptions truth = mono;
+  truth.compute_true_residual = true;
+  krylov::SolverOptions no_recovery = mono;
+  no_recovery.recovery = false;
+  krylov::SolverOptions budget = mono;
+  budget.max_recoveries = 2;
+  krylov::SolverOptions watched = mono;
+  watched.monitor = [](const krylov::IterationInfo&) {};
   SolveContext m("scg-sspmv", test_rhs(a, 0), mono);
   SolveContext c("scg-sspmv", test_rhs(a, 1), cheb);
   SolveContext cb("scg-sspmv", test_rhs(a, 2), bounded);
   SolveContext g("scg-sspmv", test_rhs(a, 3), gap);
   SolveContext gp("scg-sspmv", test_rhs(a, 4), gap_period);
+  SolveContext g2("scg-sspmv", test_rhs(a, 5), gap);
+  SolveContext gt("scg-sspmv", test_rhs(a, 6), gap_tighter);
+  SolveContext t("scg-sspmv", test_rhs(a, 7), truth);
+  SolveContext nr("scg-sspmv", test_rhs(a, 8), no_recovery);
+  SolveContext bu("scg-sspmv", test_rhs(a, 9), budget);
+  SolveContext w("scg-sspmv", test_rhs(a, 10), watched);
+  SolveContext w2("scg-sspmv", test_rhs(a, 11), watched);
   EXPECT_FALSE(batchable(m, c));
   EXPECT_FALSE(batchable(c, cb));
   EXPECT_FALSE(batchable(m, g));
   EXPECT_FALSE(batchable(g, gp));
+  EXPECT_TRUE(batchable(g, g2));  // equal gap monitors batch
+  EXPECT_FALSE(batchable(g, gt));
+  EXPECT_FALSE(batchable(m, t));
+  EXPECT_FALSE(batchable(m, nr));
+  EXPECT_FALSE(batchable(m, bu));
+  EXPECT_FALSE(batchable(m, w));
+  EXPECT_FALSE(batchable(w, m));
+  EXPECT_FALSE(batchable(w, w2));
 
   SessionConfig config;
   config.ranks = 2;
@@ -424,6 +488,28 @@ TEST(AdmissionQueueTest, BasisAndGapSettingsSplitBatches) {
   EXPECT_TRUE(c.converged());
 }
 
+TEST(AdmissionQueueTest, TrueResidualJobBehindAPlainOneGetsItsTrueResidual) {
+  // finalize_stats reads compute_true_residual from the options the solve
+  // ran with; batched behind a plain head the job would get -1.
+  const sparse::CsrMatrix a = test_matrix();
+  krylov::SolverOptions truth = test_opts();
+  truth.compute_true_residual = true;
+  SolveContext plain("scg-sspmv", test_rhs(a, 0), test_opts());
+  SolveContext asks("scg-sspmv", test_rhs(a, 1), truth);
+  SessionConfig config;
+  config.ranks = 2;
+  Session session(a, config);
+  AdmissionQueue queue;
+  queue.submit(&plain);
+  queue.submit(&asks);
+  EXPECT_EQ(session.drain(queue), 2u);
+  ASSERT_TRUE(asks.converged());
+  EXPECT_GE(asks.stats().true_residual, 0.0);
+  EXPECT_LT(asks.stats().true_residual,
+            10.0 * truth.rtol * asks.stats().b_norm);
+  EXPECT_EQ(plain.stats().true_residual, -1.0);
+}
+
 TEST(AdmissionQueueTest, DrainCapsBatchWidthAtTheFusedPayload) {
   // At s = 16 one allreduce fits only max_batch_columns(16) = 14 fused
   // columns: a 16-job batchable run must execute as two batches instead of
@@ -433,8 +519,7 @@ TEST(AdmissionQueueTest, DrainCapsBatchWidthAtTheFusedPayload) {
   opts.s = 16;
   opts.rtol = 1e-6;
   opts.max_iterations = 400;
-  const std::size_t width =
-      krylov::max_batch_columns(opts.s, /*shifted_basis=*/false);
+  const std::size_t width = krylov::max_batch_columns(opts);
   ASSERT_LT(width, 16u);
   SessionConfig config;
   config.ranks = 2;
@@ -545,9 +630,8 @@ TEST(SessionTest, StabilityDefaultsApplyWhenContextLeavesThemUnset) {
 }
 
 TEST(SessionTest, DrainedGapMonitoredJobsRunTheMonitor) {
-  // Only the single-RHS attempt runner honours gap_tol, so a gap-monitored
-  // job must never run as a batch column -- whether it set gap_tol itself
-  // or inherited the session default (which batchable() cannot see).
+  // Every batch column runs the gap monitor, so gap-monitored jobs batch --
+  // whether they set gap_tol themselves or inherited the session default.
   const sparse::CsrMatrix a = test_matrix();
   krylov::SolverOptions own = test_opts();
   own.gap_tol = 1e-3;
@@ -563,7 +647,7 @@ TEST(SessionTest, DrainedGapMonitoredJobsRunTheMonitor) {
     queue.submit(&first);
     queue.submit(&second);
     EXPECT_EQ(session.drain(queue), 2u);
-    EXPECT_EQ(session.team_runs(), 2u)
+    EXPECT_EQ(session.team_runs(), 1u)
         << "session default " << session_default;
     for (const SolveContext* ctx : {&first, &second}) {
       ASSERT_EQ(ctx->state(), JobState::kDone);
@@ -574,21 +658,34 @@ TEST(SessionTest, DrainedGapMonitoredJobsRunTheMonitor) {
   }
 }
 
-TEST(SessionTest, BatchedDriverRejectsTheGapMonitor) {
+TEST(SessionTest, BatchedDriverRunsTheGapMonitor) {
   const sparse::CsrMatrix a = test_matrix();
   krylov::SolverOptions opts = test_opts();
   opts.gap_tol = 1e-3;
   krylov::SerialEngine engine(a);
   std::vector<krylov::Vec> bs;
   std::vector<krylov::Vec> xs;
-  for (int j = 0; j < 2; ++j) {
+  std::vector<krylov::SolveStats> solo;
+  for (std::size_t j = 0; j < 2; ++j) {
     bs.push_back(engine.new_vec());
     xs.push_back(engine.new_vec());
+    const std::vector<double> bj = test_rhs(a, j);
+    for (std::size_t i = 0; i < bj.size(); ++i) bs[j][i] = bj[i];
+    krylov::Vec x = engine.new_vec();
+    solo.push_back(
+        krylov::make_solver("scg-sspmv")->solve(engine, bs[j], x, opts));
   }
-  EXPECT_THROW(
-      krylov::scg_multi_solve(engine, std::span<const krylov::Vec>(bs),
-                              std::span<krylov::Vec>(xs), opts),
-      Error);
+  const std::vector<krylov::SolveStats> stats = krylov::scg_multi_solve(
+      engine, std::span<const krylov::Vec>(bs), std::span<krylov::Vec>(xs),
+      opts);
+  ASSERT_EQ(stats.size(), 2u);
+  for (std::size_t j = 0; j < 2; ++j) {
+    EXPECT_TRUE(stats[j].converged) << "column " << j;
+    EXPECT_GT(stats[j].gap_checks, 0u) << "column " << j;
+    EXPECT_EQ(stats[j].gap_checks, solo[j].gap_checks) << "column " << j;
+    EXPECT_EQ(stats[j].max_residual_gap, solo[j].max_residual_gap)
+        << "column " << j;
+  }
 }
 
 TEST(SessionTest, SnapshotCarriesCountersAndHistograms) {

@@ -335,7 +335,7 @@ TEST(TrajectoryPinExtraTest, InjectedFaultRollsBackAndDegrades) {
 // An unattainable gap tolerance: every check fails, two failed
 // replacements escalate, and the ladder degrades s through recovery.
 TEST(TrajectoryPinExtraTest, GapToleranceEscalationDegrades) {
-  for (const char* method : {"scg-sspmv", "pipe-scg", "pipe-pscg"}) {
+  for (const char* method : {"scg-sspmv", "pipe-scg", "pipe-pscg", kMulti}) {
     CellSpec c;
     c.method = method;
     c.s = 6;
