@@ -1,7 +1,6 @@
 #include "pipescg/fault/spec.hpp"
 
 #include <cstdlib>
-#include <sstream>
 
 #include "pipescg/base/error.hpp"
 
@@ -151,30 +150,6 @@ std::vector<FaultSpec> parse_fault_specs(const std::string& text) {
     specs.push_back(parse_fault_spec(part));
   }
   return specs;
-}
-
-std::string to_string(const FaultSpec& spec) {
-  std::ostringstream os;
-  os << "kind=" << to_string(spec.kind) << ":rank=" << spec.rank
-     << ":target=" << to_string(spec.target) << ":iter=" << spec.iter;
-  switch (spec.kind) {
-    case FaultKind::kSdc:
-      if (spec.bit >= 0)
-        os << ":bit=" << spec.bit;
-      else
-        os << ":bits=" << spec.bits;
-      os << ":seed=" << spec.seed;
-      break;
-    case FaultKind::kSlow:
-      os << ":factor=" << spec.factor;
-      break;
-    case FaultKind::kStall:
-      os << ":ms=" << spec.ms;
-      break;
-    case FaultKind::kDie:
-      break;
-  }
-  return os.str();
 }
 
 }  // namespace pipescg::fault

@@ -69,7 +69,4 @@ FaultSpec parse_fault_spec(const std::string& text);
 /// Parse a ';'-separated list of faults.  Empty input => empty list.
 std::vector<FaultSpec> parse_fault_specs(const std::string& text);
 
-/// Canonical round-trippable rendering of a spec.
-std::string to_string(const FaultSpec& spec);
-
 }  // namespace pipescg::fault

@@ -3,9 +3,8 @@
 // Each rank owns a block of rows; apply_op performs a real halo exchange and
 // dot_post/dot_wait use the runtime's genuinely non-blocking allreduce, so
 // the dependency structure the paper exploits is exercised for real.  The
-// preconditioner is rank-local (block-Jacobi composition), the standard
-// distributed-memory treatment for the smoother-type preconditioners used
-// here.
+// preconditioner is rank-local: each rank applies pointwise Jacobi on its
+// own rows, which needs no communication.
 #pragma once
 
 #include "pipescg/krylov/engine.hpp"

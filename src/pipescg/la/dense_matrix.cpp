@@ -18,10 +18,6 @@ DenseMatrix DenseMatrix::identity(std::size_t n) {
   return m;
 }
 
-void DenseMatrix::fill(double value) {
-  std::fill(data_.begin(), data_.end(), value);
-}
-
 void DenseMatrix::add_scaled(const DenseMatrix& other, double alpha) {
   PIPESCG_CHECK(rows_ == other.rows_ && cols_ == other.cols_,
                 "add_scaled shape mismatch");
@@ -58,12 +54,6 @@ std::vector<double> DenseMatrix::apply(const std::vector<double>& x) const {
     y[i] = acc;
   }
   return y;
-}
-
-double DenseMatrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
-  return std::sqrt(acc);
 }
 
 double DenseMatrix::max_abs_diff(const DenseMatrix& a, const DenseMatrix& b) {

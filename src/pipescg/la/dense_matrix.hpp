@@ -38,8 +38,6 @@ class DenseMatrix {
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
 
-  void fill(double value);
-
   /// this = this + alpha * other (same shape).
   void add_scaled(const DenseMatrix& other, double alpha);
 
@@ -50,9 +48,6 @@ class DenseMatrix {
 
   /// y = A x for dense vectors.
   std::vector<double> apply(const std::vector<double>& x) const;
-
-  /// Frobenius norm.
-  double frobenius_norm() const;
 
   /// Max |a_ij - b_ij|; shapes must match.
   static double max_abs_diff(const DenseMatrix& a, const DenseMatrix& b);

@@ -1,7 +1,6 @@
 #include "pipescg/la/lu.hpp"
 
 #include <cmath>
-#include <limits>
 #include <utility>
 
 namespace pipescg::la {
@@ -29,7 +28,6 @@ LuFactorization::LuFactorization(DenseMatrix a) : lu_(std::move(a)) {
       for (std::size_t j = 0; j < n; ++j)
         std::swap(lu_(k, j), lu_(piv, j));
       std::swap(perm_[k], perm_[piv]);
-      perm_sign_ = -perm_sign_;
     }
     const double inv_pivot = 1.0 / lu_(k, k);
     for (std::size_t i = k + 1; i < n; ++i) {
@@ -70,23 +68,6 @@ DenseMatrix LuFactorization::solve(const DenseMatrix& b) const {
     for (std::size_t i = 0; i < b.rows(); ++i) x(i, j) = sol[i];
   }
   return x;
-}
-
-double LuFactorization::determinant() const {
-  double d = static_cast<double>(perm_sign_);
-  for (std::size_t i = 0; i < dim(); ++i) d *= lu_(i, i);
-  return d;
-}
-
-double LuFactorization::diag_rcond() const {
-  double dmin = std::numeric_limits<double>::infinity();
-  double dmax = 0.0;
-  for (std::size_t i = 0; i < dim(); ++i) {
-    const double v = std::abs(lu_(i, i));
-    dmin = std::min(dmin, v);
-    dmax = std::max(dmax, v);
-  }
-  return dmax > 0.0 ? dmin / dmax : 0.0;
 }
 
 std::vector<double> lu_solve(const DenseMatrix& a,

@@ -24,17 +24,9 @@ class LuFactorization {
   /// Solve A X = B column-wise.
   DenseMatrix solve(const DenseMatrix& b) const;
 
-  /// Determinant (sign-corrected product of U diagonal).
-  double determinant() const;
-
-  /// An estimate of the reciprocal condition via diag(U) ratio; cheap
-  /// ill-conditioning signal for stagnation detection in the s-step solvers.
-  double diag_rcond() const;
-
  private:
   DenseMatrix lu_;
   std::vector<std::size_t> perm_;
-  int perm_sign_ = 1;
 };
 
 /// One-shot convenience: solve A x = b.

@@ -196,16 +196,6 @@ void aypx(double* y, double a, const double* x, std::size_t n) {
 void shift_combine(double* dst, const double* av, double theta,
                    const double* p1, double sigma, const double* p2,
                    double gamma, std::size_t n) {
-  shift_combine_with_dots(dst, av, theta, p1, sigma, p2, gamma, n, {}, {});
-}
-
-void shift_combine_with_dots(double* dst, const double* av, double theta,
-                             const double* p1, double sigma, const double* p2,
-                             double gamma, std::size_t n,
-                             std::span<const double* const> others,
-                             std::span<double> partials) {
-  PIPESCG_CHECK(partials.size() >= others.size(),
-                "shift_combine_with_dots output too small");
   // The unfused chain's guards: no theta term when theta == 0, no sigma term
   // without p2 or when sigma == 0, no scale when gamma == 1.  The active
   // terms come first in coeff/xs.
@@ -216,34 +206,24 @@ void shift_combine_with_dots(double* dst, const double* av, double theta,
   const double* const xs[2] = {with_theta ? p1 : p2, p2};
   const bool with_scale = gamma != 1.0;
   const double inv = 1.0 / gamma;
-  // Fused: produce and dot the column block by block while the block is
-  // cache-hot -- one pass.  Unfused: the copy/axpy/axpy/scale chain over the
-  // whole column, then a sweep per partial.  Each partial's additions run in
-  // sequential order either way.
+  // Fused: one sweep.  Unfused: the copy/axpy/axpy/scale chain.
   const bool fused = fused_kernels_enabled();
   KernelStats& stats = kernel_stats();
   ++stats.basis_steps;
   stats.basis_passes += fused ? 1 : 1 + terms + (with_scale ? 1 : 0);
-  if (!others.empty()) stats.dot_sweeps += fused ? 1 : others.size();
   if (!fused) {
     lincomb(dst, av, {coeff, terms}, {xs, terms}, n);
     if (with_scale) scale(dst, inv, n);
+    return;
   }
-  const std::size_t block = fused ? kDotBlock : n;
-  for (std::size_t k = 0; k < others.size(); ++k) partials[k] = 0.0;
-  for (std::size_t i0 = 0; i0 < n; i0 += block) {
-    const std::size_t len = std::min(block, n - i0);
-    constexpr Start kAv = Start::kBase;
-    switch (fused ? 2 * terms + (with_scale ? 1 : 0) : 6) {  // 6: unfused
-      case 0: sweep<kAv, 0, false>(dst, av, coeff, xs, inv, i0, len); break;
-      case 1: sweep<kAv, 0, true>(dst, av, coeff, xs, inv, i0, len); break;
-      case 2: sweep<kAv, 1, false>(dst, av, coeff, xs, inv, i0, len); break;
-      case 3: sweep<kAv, 1, true>(dst, av, coeff, xs, inv, i0, len); break;
-      case 4: sweep<kAv, 2, false>(dst, av, coeff, xs, inv, i0, len); break;
-      case 5: sweep<kAv, 2, true>(dst, av, coeff, xs, inv, i0, len); break;
-    }
-    for (std::size_t k = 0; k < others.size(); ++k)
-      partials[k] = dot_acc(partials[k], dst + i0, others[k] + i0, len);
+  constexpr Start kAv = Start::kBase;
+  switch (2 * terms + (with_scale ? 1 : 0)) {
+    case 0: sweep<kAv, 0, false>(dst, av, coeff, xs, inv, 0, n); break;
+    case 1: sweep<kAv, 0, true>(dst, av, coeff, xs, inv, 0, n); break;
+    case 2: sweep<kAv, 1, false>(dst, av, coeff, xs, inv, 0, n); break;
+    case 3: sweep<kAv, 1, true>(dst, av, coeff, xs, inv, 0, n); break;
+    case 4: sweep<kAv, 2, false>(dst, av, coeff, xs, inv, 0, n); break;
+    case 5: sweep<kAv, 2, true>(dst, av, coeff, xs, inv, 0, n); break;
   }
 }
 

@@ -16,9 +16,7 @@
 //                        register across up to four terms: one memory pass
 //                        per outer update.  lincomb is a program of one;
 //   * shift_combine   -- the three-term-recurrence epilogue
-//                        dst = (av - theta p1 - sigma p2) / gamma in one pass;
-//   * shift_combine_with_dots -- shift_combine plus dot partials of the new
-//                        column against existing columns, same sweep.
+//                        dst = (av - theta p1 - sigma p2) / gamma in one pass.
 //
 // Fusion contract (DESIGN.md section 14): every fused kernel performs the
 // exact per-element floating-point operation sequence of its unfused
@@ -136,16 +134,6 @@ void aypx(double* y, double a, const double* x, std::size_t n);
 void shift_combine(double* dst, const double* av, double theta,
                    const double* p1, double sigma, const double* p2,
                    double gamma, std::size_t n);
-
-/// shift_combine plus, in the same sweep, dot partials of the freshly
-/// produced column: partials[k] = sum_i dst[i] * others[k][i].  The dot
-/// accumulation order matches a separate sequential loop over dst, so the
-/// partials are bitwise identical to computing them after the fact.
-void shift_combine_with_dots(double* dst, const double* av, double theta,
-                             const double* p1, double sigma, const double* p2,
-                             double gamma, std::size_t n,
-                             std::span<const double* const> others,
-                             std::span<double> partials);
 
 /// 64-byte-aligned allocator: Vec storage lands on cache-line/AVX-512
 /// boundaries.

@@ -45,7 +45,6 @@ class Value {
 
   Type type() const { return type_; }
   bool is_null() const { return type_ == Type::kNull; }
-  bool is_number() const { return type_ == Type::kNumber; }
   bool is_object() const { return type_ == Type::kObject; }
   bool is_array() const { return type_ == Type::kArray; }
 

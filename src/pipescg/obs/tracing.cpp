@@ -175,10 +175,6 @@ json::Value merge_trace(const RequestTrace& trace) {
   return doc;
 }
 
-void write_merged_trace(const RequestTrace& trace, const std::string& path) {
-  json::write_file(path, merge_trace(trace));
-}
-
 // --- TraceSink --------------------------------------------------------------
 
 TraceSink::TraceSink(std::string dir) : dir_(std::move(dir)) {

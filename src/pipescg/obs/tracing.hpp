@@ -230,9 +230,6 @@ class RequestTrace {
 /// interleaved.
 json::Value merge_trace(const RequestTrace& trace);
 
-/// merge_trace + atomic-ish write to `path`.
-void write_merged_trace(const RequestTrace& trace, const std::string& path);
-
 /// Directory of per-request trace files: write() renders one request to
 /// `<dir>/trace_<trace_id>.json`.  Thread-safe (the service layer may run
 /// sessions from several threads).

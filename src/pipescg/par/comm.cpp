@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "pipescg/base/error.hpp"
-#include "pipescg/base/log.hpp"
 #include "pipescg/fault/injector.hpp"
 #include "pipescg/obs/profiler.hpp"
 
@@ -78,17 +77,6 @@ class Backoff {
   throw CommTimeout(rank, os.str());
 }
 
-// Tags the calling thread's log lines with its SPMD rank for the duration
-// of the team body, so interleaved output is attributable.
-class LogRankScope {
- public:
-  explicit LogRankScope(int rank) : prev_(log_rank()) { set_log_rank(rank); }
-  ~LogRankScope() { set_log_rank(prev_); }
-
- private:
-  int prev_;
-};
-
 }  // namespace
 
 void set_comm_watchdog_ms(double ms) {
@@ -101,10 +89,6 @@ double comm_watchdog_ms() {
 
 std::uint64_t comm_watchdog_trips() {
   return g_watchdog_trips.load(std::memory_order_relaxed);
-}
-
-void reset_comm_watchdog_trips() {
-  g_watchdog_trips.store(0, std::memory_order_relaxed);
 }
 
 RankRange block_range(std::size_t n, int rank, int size) {
@@ -239,7 +223,6 @@ void Team::run(int num_ranks, const std::function<void(Comm&)>& body) {
       static_cast<std::size_t>(num_ranks), nullptr);
 
   if (num_ranks == 1) {
-    LogRankScope log_rank(0);
     Comm comm(&team, 0);
     body(comm);
     return;
@@ -250,7 +233,6 @@ void Team::run(int num_ranks, const std::function<void(Comm&)>& body) {
   for (int r = 0; r < num_ranks; ++r) {
     threads.emplace_back([&team, &body, &errors, r]() {
       try {
-        LogRankScope log_rank(r);
         Comm comm(&team, r);
         body(comm);
       } catch (...) {
@@ -298,7 +280,6 @@ void PersistentTeam::worker(int rank) {
       comm = comms_[static_cast<std::size_t>(rank)].get();
     }
     try {
-      LogRankScope log_rank(rank);
       (*body)(*comm);
     } catch (...) {
       std::lock_guard<std::mutex> lock(mu_);
@@ -379,28 +360,6 @@ void Comm::wait(AllreduceRequest& req, std::span<double> out) {
                       obs::SpanKind::kAllreduceWaitNonblocking);
   team_->wait_impl(req, out, rank_);
   req.active = false;
-}
-
-void Comm::broadcast(std::span<double> data, int root) {
-  PIPESCG_CHECK(root >= 0 && root < size(), "broadcast root out of range");
-  // Root exposes its buffer; everyone copies; epoch close synchronizes.
-  expose(std::span<const double>(data.data(), data.size()));
-  if (rank_ != root) peer_read(root, 0, data);
-  close_epoch();
-}
-
-double Comm::allreduce_max(double v) {
-  // Implemented on top of sum-allreduce machinery would change semantics;
-  // use the window mechanism instead: everyone exposes, everyone maxes.
-  expose(std::span<const double>(&v, 1));
-  double m = v;
-  for (int r = 0; r < size(); ++r) {
-    double peer_v = 0.0;
-    peer_read(r, 0, std::span<double>(&peer_v, 1));
-    m = std::max(m, peer_v);
-  }
-  close_epoch();
-  return m;
 }
 
 void Comm::expose(std::span<const double> window) {

@@ -9,7 +9,6 @@
 //  * allreduce_sum()                  -- blocking allreduce (MPI_Allreduce)
 //  * iallreduce_sum() / wait()        -- non-blocking allreduce
 //                                        (MPI_Iallreduce + MPI_Wait)
-//  * broadcast()                      -- MPI_Bcast
 //  * expose() / peer_read()           -- RMA-style neighbor access used by
 //                                        the distributed SPMV halo exchange
 //                                        (models MPI_Get in an epoch)
@@ -21,16 +20,15 @@
 // bit-deterministic regardless of thread scheduling.
 //
 // Ordering contract (same as MPI): all ranks must post every collective --
-// barrier, allreduce_sum/iallreduce_sum, broadcast, allreduce_max, expose/
-// close_epoch, exchange -- in the same order, and matching posts must agree
+// barrier, allreduce_sum/iallreduce_sum, expose/close_epoch, exchange --
+// in the same order, and matching posts must agree
 // on their payload shape (the allreduce count; the exposed window length for
 // the window-based collectives).  A bounded ring of in-flight operations
 // provides backpressure; exceeding kMaxInflight outstanding unposted
 // generations simply makes the poster spin until the slot is recycled.
 // Violations are detected rather than silently corrupting: mismatched
 // allreduce payload counts fail a cheap always-on check at post time
-// (allreduce_max and broadcast ride on the window mechanism, whose
-// peer_read bounds-check catches a mismatched window), and mismatched
+// (peer_read's bounds check catches a mismatched window), and mismatched
 // *ordering* deadlocks -- which the spin-loop watchdog below converts into
 // a CommTimeout diagnostic instead of a hang.
 //
@@ -80,11 +78,10 @@ class CommTimeout : public Error {
 void set_comm_watchdog_ms(double ms);
 double comm_watchdog_ms();
 
-/// Process-wide count of CommTimeout throws (watchdog trips) since start or
-/// the last reset.  Exported as pipescg_watchdog_trips_total by
+/// Process-wide count of CommTimeout throws (watchdog trips) since start.
+/// Exported as pipescg_watchdog_trips_total by
 /// obs::metrics::register_fault, and the number the fault harness reports.
 std::uint64_t comm_watchdog_trips();
-void reset_comm_watchdog_trips();
 
 /// RAII watchdog override (tests use short timeouts and must restore).
 class ScopedWatchdog {
@@ -153,15 +150,6 @@ class Comm {
   /// Complete a previously posted iallreduce; writes the reduced values.
   void wait(AllreduceRequest& req, std::span<double> out);
 
-  /// Broadcast `data` from `root` to all ranks.
-  void broadcast(std::span<double> data, int root);
-
-  /// Max-allreduce of a single value (used for convergence flags/norms).
-  /// Rides on the window mechanism, so its payload sanity comes from
-  /// peer_read's bounds check: a rank that posted a different collective in
-  /// this slot exposes a window of the wrong length and every reader throws.
-  double allreduce_max(double v);
-
   /// RMA-style exposure epoch: every rank publishes a read-only window, then
   /// after the collective call any rank may peer_read() from any window
   /// until close_epoch().  Models MPI_Win_fence + MPI_Get.
@@ -182,7 +170,7 @@ class Comm {
   /// Batched halo exchange: ONE epoch that exposes `window` and executes a
   /// pre-registered pull list into `ghosts` -- expose, every pull, close.
   /// This is the primitive the distributed operators (sparse::DistCsr,
-  /// sparse::DistStencil3D, sparse::MatrixPowers) use for their halo
+  /// sparse::MatrixPowers) use for their halo
   /// exchanges; the per-epoch cost is paid once regardless of how many runs
   /// or how deep a ghost region is pulled, which is exactly what the
   /// matrix-powers kernel exploits (one deep exchange per s-step block
@@ -192,11 +180,6 @@ class Comm {
   /// thread's obs profiler.
   void exchange(std::span<const GhostPull> pulls,
                 std::span<const double> window, std::span<double> ghosts);
-
-  /// Convenience: this rank's block range of n items.
-  RankRange my_range(std::size_t n) const {
-    return block_range(n, rank_, size());
-  }
 
  private:
   friend class Team;

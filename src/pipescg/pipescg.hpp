@@ -18,7 +18,6 @@
 
 #include "pipescg/base/cli.hpp"
 #include "pipescg/base/error.hpp"
-#include "pipescg/base/log.hpp"
 #include "pipescg/base/rng.hpp"
 #include "pipescg/base/timer.hpp"
 #include "pipescg/fault/injector.hpp"
@@ -60,7 +59,6 @@
 #include "pipescg/sparse/csr_matrix.hpp"
 #include "pipescg/sparse/bytes_model.hpp"
 #include "pipescg/sparse/dist_csr.hpp"
-#include "pipescg/sparse/dist_stencil.hpp"
 #include "pipescg/sparse/format.hpp"
 #include "pipescg/sparse/matrix_market.hpp"
 #include "pipescg/sparse/matrix_powers.hpp"

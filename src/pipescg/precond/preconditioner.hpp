@@ -19,9 +19,9 @@
 namespace pipescg::precond {
 
 /// Interface for u = M^{-1} r.  For the CG family M must be SPD; every
-/// implementation in precond/ preserves symmetry.  Implementations are
-/// rank-local by construction — distribution happens by composition
-/// (BlockJacobiPreconditioner), never inside an apply.
+/// implementation in precond/ preserves symmetry.  Implementations act on
+/// the rows they are given and never communicate inside an apply; the SPMD
+/// engine runs pointwise Jacobi on each rank's own rows.
 class Preconditioner {
  public:
   virtual ~Preconditioner() = default;

@@ -37,7 +37,6 @@ void AdmissionQueue::submit(SolveContext* ctx) {
   ctx->state_ = JobState::kQueued;
   ctx->enqueued_at_ = std::chrono::steady_clock::now();
   queue_.push_back(ctx);
-  ++admitted_;
 }
 
 std::size_t AdmissionQueue::pending() const {
@@ -60,11 +59,6 @@ std::vector<SolveContext*> AdmissionQueue::next_batch(std::size_t max_batch) {
   }
   if (out.size() > 1) ++batches_;
   return out;
-}
-
-std::size_t AdmissionQueue::admitted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return admitted_;
 }
 
 std::size_t AdmissionQueue::batches() const {

@@ -47,15 +47,12 @@ class AdmissionQueue {
   /// when the head job cannot batch with its successor.  Thread-safe.
   std::vector<SolveContext*> next_batch(std::size_t max_batch);
 
-  /// Jobs admitted since construction.
-  std::size_t admitted() const;
   /// next_batch() calls that returned more than one job.
   std::size_t batches() const;
 
  private:
   mutable std::mutex mu_;
   std::deque<SolveContext*> queue_;
-  std::size_t admitted_ = 0;
   std::size_t batches_ = 0;
 };
 

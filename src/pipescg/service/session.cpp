@@ -76,7 +76,7 @@ obs::metrics::SessionSnapshot Session::snapshot() const {
 
 void Session::solve(SolveContext& ctx) {
   SolveContext* one[] = {&ctx};
-  execute(one);
+  execute(one, /*queued=*/false);
 }
 
 void Session::solve_batch(std::span<SolveContext* const> ctxs) {
@@ -86,7 +86,7 @@ void Session::solve_batch(std::span<SolveContext* const> ctxs) {
                   "solve_batch contexts are not mutually batchable "
                   "(method/s/tolerance/norm/max_iterations/stability "
                   "settings must match, no step limit, no monitor)");
-  execute(ctxs);
+  execute(ctxs, /*queued=*/false);
 }
 
 void Session::set_observability(Observability obs) {
@@ -147,20 +147,7 @@ std::size_t Session::drain(AdmissionQueue& queue, std::size_t max_batch) {
     }
     const std::vector<SolveContext*> batch = queue.next_batch(max_batch);
     if (batch.empty()) break;
-    // The fused dot payload bounds the batch width (wider at large s, for
-    // shifted bases and under the gap monitor); a longer run executes as
-    // consecutive batches.
-    const std::size_t width = std::max<std::size_t>(
-        1, krylov::max_batch_columns(resolved_options(*batch.front())));
-    for (std::size_t i = 0; i < batch.size(); i += width) {
-      const std::span<SolveContext* const> chunk =
-          std::span(batch).subspan(i, std::min(width, batch.size() - i));
-      const auto start = std::chrono::steady_clock::now();
-      for (const SolveContext* ctx : chunk)
-        queue_latency_.add(
-            std::chrono::duration<double>(start - ctx->enqueued_at_).count());
-      execute(chunk);
-    }
+    execute(batch, /*queued=*/true);
     executed += batch.size();
   }
   if (live_metrics_.queue_depth != nullptr)
@@ -183,7 +170,29 @@ krylov::SolverOptions Session::resolved_options(
   return opts;
 }
 
-void Session::execute(std::span<SolveContext* const> ctxs) {
+void Session::execute(std::span<SolveContext* const> ctxs, bool queued) {
+  // The fused dot payload bounds the batch width (wider at large s, for
+  // shifted bases and under the gap monitor); a longer run executes as
+  // consecutive batches.  A lone job runs as it is, whatever its method.
+  const std::size_t width =
+      ctxs.size() == 1
+          ? 1
+          : std::max<std::size_t>(1, krylov::max_batch_columns(
+                                         resolved_options(*ctxs.front())));
+  for (std::size_t i = 0; i < ctxs.size(); i += width) {
+    const std::span<SolveContext* const> chunk =
+        ctxs.subspan(i, std::min(width, ctxs.size() - i));
+    if (queued) {
+      const auto start = std::chrono::steady_clock::now();
+      for (const SolveContext* ctx : chunk)
+        queue_latency_.add(
+            std::chrono::duration<double>(start - ctx->enqueued_at_).count());
+    }
+    run_chunk(chunk);
+  }
+}
+
+void Session::run_chunk(std::span<SolveContext* const> ctxs) {
   // Per-submission iteration budget: what max_iterations leaves after the
   // iterations earlier submissions already spent, clamped by step_limit.
   // Exhausted contexts complete immediately without touching the team.

@@ -10,7 +10,7 @@
 //   * each rank's sparse::DistCsr (remapped local CSR + GhostPull run
 //     lists),
 //   * each rank's depth-s sparse::MatrixPowers closure (optional),
-//   * each rank's local preconditioner (block-Jacobi composition),
+//   * each rank's pointwise Jacobi preconditioner on its own rows,
 //   * the par::PersistentTeam of rank threads,
 //
 // and then serves any number of SolveContexts against that warm state.
@@ -54,7 +54,7 @@ namespace pipescg::service {
 
 struct SessionConfig {
   int ranks = 2;                 ///< persistent rank-team size
-  bool use_preconditioner = true;  ///< build rank-local Jacobi (block-Jacobi)
+  bool use_preconditioner = true;  ///< build Jacobi on each rank's own rows
   bool mpk = false;              ///< build the depth-s MatrixPowers closure
   int s = 3;                     ///< closure depth == largest opts.s served
 
@@ -129,25 +129,24 @@ class Session {
   /// collective state).
   void solve(SolveContext& ctx);
 
-  /// Execute k jobs as ONE batched multi-RHS solve (one s-step basis build
-  /// cadence, dot batches widened to k columns; krylov::scg_multi_solve).
-  /// All contexts must be mutually batchable(); a single-element span
-  /// degenerates to solve().
+  /// Execute k jobs as batched multi-RHS solves (one s-step basis build
+  /// cadence, dot batches widened to the batch's columns;
+  /// krylov::scg_multi_solve), split into consecutive batches of at most
+  /// krylov::max_batch_columns(opts) columns, the widest fused payload one
+  /// allreduce carries.  All contexts must be mutually batchable(); a
+  /// single-element span degenerates to solve().
   void solve_batch(std::span<SolveContext* const> ctxs);
 
   /// Drain the admission queue: repeatedly pop the next batchable run
-  /// (capped at `max_batch` columns) and execute it -- as consecutive
-  /// batches of at most krylov::max_batch_columns(opts) columns, the widest
-  /// fused payload one allreduce carries -- until the queue is
-  /// empty.  Records per-job admission-wait latency.  Returns the number of
-  /// jobs executed.
+  /// (capped at `max_batch` columns) and execute it as solve_batch does,
+  /// until the queue is empty.  Records per-job admission-wait latency.
+  /// Returns the number of jobs executed.
   std::size_t drain(AdmissionQueue& queue, std::size_t max_batch = 16);
 
   /// Install (or replace, or clear with {}) the session's observability
   /// wiring: request tracing, anomaly detection, live metric families,
   /// sampler flush-on-expiry.  Call between solves, not during one.
   void set_observability(Observability obs);
-  const Observability& observability() const { return obs_; }
 
   // --- observability ------------------------------------------------------
   const SetupCounters& setup_counters() const { return counters_; }
@@ -176,9 +175,13 @@ class Session {
     std::unique_ptr<precond::JacobiPreconditioner> pc;
   };
 
-  // Shared body of solve/solve_batch: run `ctxs` (1 => single-RHS driver,
-  // else scg_multi_solve) on the team and finalize every context.
-  void execute(std::span<SolveContext* const> ctxs);
+  // Shared body of solve/solve_batch/drain: run `ctxs` as consecutive
+  // batches of at most krylov::max_batch_columns(opts) columns.  `queued`
+  // jobs (drain) record their admission wait as their own batch starts.
+  void execute(std::span<SolveContext* const> ctxs, bool queued);
+  // Run one batch on the team (1 => single-RHS solver, else
+  // scg_multi_solve) and finalize every context.
+  void run_chunk(std::span<SolveContext* const> ctxs);
   /// A context's options with the session's stability defaults filled in
   /// for the knobs it left unset.
   krylov::SolverOptions resolved_options(const SolveContext& ctx) const;

@@ -1,7 +1,5 @@
 #include "pipescg/service/solve_context.hpp"
 
-#include "pipescg/base/error.hpp"
-
 namespace pipescg::service {
 
 const char* to_string(JobState state) {
@@ -20,14 +18,6 @@ const char* to_string(JobState state) {
       return "expired";
   }
   return "unknown";
-}
-
-void SolveContext::set_initial_guess(std::vector<double> x0) {
-  PIPESCG_CHECK(x0.size() == b_.size(),
-                "initial guess has " + std::to_string(x0.size()) +
-                    " entries, right-hand side has " +
-                    std::to_string(b_.size()));
-  x_ = std::move(x0);
 }
 
 }  // namespace pipescg::service

@@ -50,8 +50,7 @@ class SolveContext {
  public:
   /// A job solving A x = b for the Session's operator A.  `method` is any
   /// krylov registry name; `b` is the GLOBAL right-hand side (the session
-  /// scatters it over the rank team); the iterate starts at zero unless
-  /// set_initial_guess() is called.
+  /// scatters it over the rank team); the iterate starts at zero.
   SolveContext(std::string method, std::vector<double> b,
                krylov::SolverOptions opts)
       : method_(std::move(method)), opts_(opts), b_(std::move(b)),
@@ -62,10 +61,9 @@ class SolveContext {
   JobState state() const { return state_; }
 
   const std::vector<double>& b() const { return b_; }
-  /// Current global iterate: the initial guess before the first submission,
-  /// the (partial) solution after each one.
+  /// Current global iterate: zero before the first submission, the
+  /// (partial) solution after each one.
   const std::vector<double>& x() const { return x_; }
-  void set_initial_guess(std::vector<double> x0);
 
   /// CG-equivalent iteration budget per submission; 0 (default) lets one
   /// submission run to opts.max_iterations.  The remaining overall budget
@@ -83,8 +81,6 @@ class SolveContext {
     deadline_ = deadline;
     has_deadline_ = true;
   }
-  bool has_deadline() const { return has_deadline_; }
-  std::chrono::steady_clock::time_point deadline() const { return deadline_; }
 
   /// Statistics of the most recent submission.
   const krylov::SolveStats& stats() const { return stats_; }

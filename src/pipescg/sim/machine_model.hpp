@@ -120,17 +120,6 @@ struct MachineModel {
   double setup_seconds(const sparse::OperatorStats& stats, int ranks,
                        int s_depth, bool with_pc) const;
 
-  /// Per-solve cost once the setup is amortized over `solves` requests:
-  ///   solve_seconds + setup / solves.
-  /// The break-even request count against a cold per-solve setup is
-  /// setup / solve_seconds -- the service-layer analogue of the paper's
-  /// s-step latency-amortization argument.
-  static double amortized_solve_seconds(double setup_s, double solve_s,
-                                        std::size_t solves) {
-    return solve_s + (solves == 0 ? setup_s
-                                  : setup_s / static_cast<double>(solves));
-  }
-
   /// End-to-end latency of the non-blocking allreduce.
   double iallreduce_seconds(int ranks, std::size_t doubles) const {
     return nonblocking_penalty * allreduce_seconds(ranks, doubles);

@@ -63,19 +63,6 @@ class EventTrace {
   }
   const std::vector<PcCostProfile>& pcs() const { return pcs_; }
 
-  /// Reset the trace to a pristine state: events *and* registered
-  /// operator/PC metadata are discarded, so indices handed out by earlier
-  /// register_* calls become invalid.  An engine holding such indices must
-  /// not keep recording into a cleared trace -- use clear_events() to drop
-  /// the event list while keeping registrations valid (e.g. to reuse one
-  /// engine for a warm-up solve followed by a measured solve).
-  void clear() {
-    events_.clear();
-    operators_.clear();
-    pcs_.clear();
-  }
-  void clear_events() { events_.clear(); }
-
   /// Kernel counters (cross-checked against Table I in tests/benches).
   struct Counters {
     std::size_t spmvs = 0;

@@ -28,8 +28,6 @@ class CooBuilder {
   /// Append value at (i, j) and (j, i) (skipping the mirror when i == j).
   void add_symmetric(std::size_t i, std::size_t j, double value);
 
-  std::size_t entry_count() const { return entries_.size(); }
-
   /// Sort, merge duplicates, and emit CSR.  The builder is left empty.
   CsrMatrix build(std::string name = "csr");
 

@@ -160,15 +160,6 @@ CsrMatrix CsrMatrix::transposed() const {
   return t;
 }
 
-std::vector<double> CsrMatrix::offdiag_abs_row_sums() const {
-  std::vector<double> s(nrows_, 0.0);
-  for (std::size_t i = 0; i < nrows_; ++i)
-    for (Index k = row_ptr_[i]; k < row_ptr_[i + 1]; ++k)
-      if (static_cast<std::size_t>(cols_[static_cast<std::size_t>(k)]) != i)
-        s[i] += std::abs(values_[static_cast<std::size_t>(k)]);
-  return s;
-}
-
 std::vector<double> CsrMatrix::to_dense(std::size_t limit) const {
   PIPESCG_CHECK(nrows_ <= limit && ncols_ <= limit,
                 "to_dense: matrix too large");

@@ -34,7 +34,6 @@ class CsrMatrix final : public LinearOperator {
   std::span<const Index> row_ptr() const { return row_ptr_; }
   std::span<const Index> col_indices() const { return cols_; }
   std::span<const double> values() const { return values_; }
-  std::span<double> mutable_values() { return values_; }
 
   void apply(std::span<const double> x, std::span<double> y) const override;
 
@@ -57,9 +56,6 @@ class CsrMatrix final : public LinearOperator {
 
   /// Transpose (used by tests and AMG Galerkin products).
   CsrMatrix transposed() const;
-
-  /// Row sums of |a_ij| off-diagonal (diagnostics, Chebyshev bounds).
-  std::vector<double> offdiag_abs_row_sums() const;
 
   /// Dense conversion for small matrices in tests (throws if rows > limit).
   std::vector<double> to_dense(std::size_t limit = 2048) const;

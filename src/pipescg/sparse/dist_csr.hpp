@@ -52,8 +52,6 @@ class DistCsr {
   void apply(par::Comm& comm, std::span<const double> x_local,
              std::span<double> y_local, std::vector<double>& ghost_scratch) const;
 
-  /// Total doubles this rank pulls per apply (halo volume, for diagnostics).
-  std::size_t halo_volume() const { return ghost_globals_.size(); }
   /// Coalesced ghost runs (messages) this rank pulls per apply.
   std::size_t halo_messages() const { return pulls_.size(); }
 

@@ -6,7 +6,6 @@
 
 #include "pipescg/base/cli.hpp"
 #include "pipescg/base/error.hpp"
-#include "pipescg/base/log.hpp"
 #include "pipescg/base/rng.hpp"
 #include "pipescg/base/timer.hpp"
 
@@ -181,24 +180,6 @@ TEST(TimerTest, ScopedTimerAccumulates) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_GT(total, after_first);  // accumulates across scopes
-}
-
-TEST(LogTest, LevelRoundTrips) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  set_log_level(before);
-}
-
-TEST(LogTest, RankTagIsThreadLocal) {
-  EXPECT_EQ(log_rank(), -1);  // untagged by default
-  set_log_rank(3);
-  EXPECT_EQ(log_rank(), 3);
-  int other = 3;
-  std::thread([&] { other = log_rank(); }).join();
-  EXPECT_EQ(other, -1);  // tags do not leak across threads
-  set_log_rank(-1);
-  EXPECT_EQ(log_rank(), -1);
 }
 
 }  // namespace

@@ -246,29 +246,6 @@ TEST(FusedKernelsTest, ShiftCombineBitwiseMatchesUnfused) {
   }
 }
 
-// shift_combine_with_dots: the same-sweep dot partials must match dots
-// computed after the fact.
-TEST(FusedKernelsTest, ShiftCombineWithDotsMatchesSeparateDots) {
-  const std::size_t n = 5000;
-  const std::vector<double> av = random_vector(n, 21);
-  const std::vector<double> p1 = random_vector(n, 22);
-  const std::vector<double> p2 = random_vector(n, 23);
-  const std::vector<double> o1 = random_vector(n, 24);
-  const std::vector<double> o2 = random_vector(n, 25);
-  const double* others[] = {o1.data(), o2.data()};
-  std::vector<double> dst(n), partials(2);
-  la::shift_combine_with_dots(dst.data(), av.data(), 0.5, p1.data(), 0.25,
-                              p2.data(), 1.5, n, others, partials);
-  std::vector<double> dst_ref(n), dots_ref(2);
-  la::shift_combine(dst_ref.data(), av.data(), 0.5, p1.data(), 0.25,
-                    p2.data(), 1.5, n);
-  const la::DotView views[] = {{dst_ref.data(), o1.data()},
-                               {dst_ref.data(), o2.data()}};
-  la::dot_batch(views, n, dots_ref);
-  expect_bitwise(dst, dst_ref, "with_dots dst");
-  expect_bitwise(partials, dots_ref, "with_dots partials");
-}
-
 // --- end-to-end parity: s-step solves under the fusion toggle ----------
 
 // The strongest form of the fusion contract: full s-step solves (the dot

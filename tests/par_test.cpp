@@ -110,25 +110,6 @@ TEST_P(TeamSizeTest, MultipleInflightAllreduces) {
   });
 }
 
-TEST_P(TeamSizeTest, BroadcastDistributesRootData) {
-  const int p = GetParam();
-  Team::run(p, [&](Comm& comm) {
-    std::vector<double> data(3, 0.0);
-    if (comm.rank() == p - 1) data = {1.5, 2.5, 3.5};
-    comm.broadcast(data, p - 1);
-    EXPECT_DOUBLE_EQ(data[0], 1.5);
-    EXPECT_DOUBLE_EQ(data[2], 3.5);
-  });
-}
-
-TEST_P(TeamSizeTest, AllreduceMax) {
-  const int p = GetParam();
-  Team::run(p, [&](Comm& comm) {
-    const double m = comm.allreduce_max(static_cast<double>(comm.rank()));
-    EXPECT_DOUBLE_EQ(m, static_cast<double>(p - 1));
-  });
-}
-
 TEST_P(TeamSizeTest, RmaWindowsReadPeerData) {
   const int p = GetParam();
   Team::run(p, [&](Comm& comm) {

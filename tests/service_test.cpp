@@ -392,7 +392,6 @@ TEST(AdmissionQueueTest, BatchesLongestCompatiblePrefix) {
   ASSERT_EQ(third.size(), 1u);
   EXPECT_EQ(third[0], &a3);
   EXPECT_TRUE(queue.next_batch(8).empty());
-  EXPECT_EQ(queue.admitted(), 4u);
   EXPECT_EQ(queue.batches(), 1u);
 }
 
@@ -533,9 +532,57 @@ TEST(AdmissionQueueTest, DrainCapsBatchWidthAtTheFusedPayload) {
   }
   EXPECT_EQ(session.drain(queue, 16), 16u);
   EXPECT_EQ(session.team_runs(), 2u);
+  EXPECT_EQ(session.queue_latency().count(), 16u);
   for (const auto& job : jobs) {
     EXPECT_EQ(job->state(), JobState::kDone) << job->error();
     EXPECT_TRUE(job->error().empty()) << job->error();
+  }
+}
+
+TEST(MultiRhsTest, SolveBatchCapsBatchWidthAtTheFusedPayload) {
+  // solve_batch splits at max_batch_columns exactly as drain does: 16
+  // batchable jobs at s = 16 run as 14 + 2, each column bitwise its solo
+  // solve.  A solve_batch job was never queued, so it records no
+  // admission wait.
+  const sparse::CsrMatrix a = test_matrix(8);
+  krylov::SolverOptions opts = test_opts();
+  opts.s = 16;
+  opts.rtol = 1e-6;
+  opts.max_iterations = 400;
+  ASSERT_LT(krylov::max_batch_columns(opts), 16u);
+  SessionConfig config;
+  config.ranks = 2;
+  Session solo(a, config);
+  Session batched(a, config);
+  std::vector<std::unique_ptr<SolveContext>> refs;
+  std::vector<std::unique_ptr<SolveContext>> jobs;
+  std::vector<SolveContext*> ptrs;
+  for (std::size_t j = 0; j < 16; ++j) {
+    refs.push_back(
+        std::make_unique<SolveContext>("scg-sspmv", test_rhs(a, j), opts));
+    solo.solve(*refs.back());
+    jobs.push_back(
+        std::make_unique<SolveContext>("scg-sspmv", test_rhs(a, j), opts));
+    ptrs.push_back(jobs.back().get());
+  }
+  batched.solve_batch(ptrs);
+  EXPECT_EQ(batched.team_runs(), 2u);
+  EXPECT_EQ(batched.queue_latency().count(), 0u);
+  for (std::size_t j = 0; j < 16; ++j) {
+    const SolveContext& job = *jobs[j];
+    const SolveContext& ref = *refs[j];
+    ASSERT_EQ(job.state(), JobState::kDone) << "column " << j << ": "
+                                            << job.error();
+    ASSERT_EQ(job.x().size(), ref.x().size());
+    for (std::size_t i = 0; i < ref.x().size(); ++i)
+      ASSERT_EQ(job.x()[i], ref.x()[i]) << "column " << j << " entry " << i;
+    ASSERT_EQ(job.stats().history.size(), ref.stats().history.size())
+        << "column " << j;
+    for (std::size_t h = 0; h < ref.stats().history.size(); ++h) {
+      EXPECT_EQ(job.stats().history[h].first, ref.stats().history[h].first);
+      EXPECT_EQ(job.stats().history[h].second, ref.stats().history[h].second)
+          << "column " << j << " checkpoint " << h;
+    }
   }
 }
 

@@ -203,40 +203,6 @@ TEST(TraceTest, CountersTallyEvents) {
   EXPECT_DOUBLE_EQ(c.vector_flops, 123.0);
 }
 
-TEST(TraceTest, ClearResetsEventsAndRegistrations) {
-  EventTrace trace;
-  trace.register_operator(grid3d_stats(4, 7, 1));
-  PcCostProfile pc;
-  pc.name = "jacobi";
-  trace.register_pc(pc);
-  Event e;
-  e.kind = EventKind::kSpmv;
-  e.index = 0;
-  trace.record(e);
-
-  trace.clear();
-  EXPECT_TRUE(trace.events().empty());
-  EXPECT_TRUE(trace.operators().empty());
-  EXPECT_TRUE(trace.pcs().empty());
-  // Registration indices restart from zero after a full clear.
-  EXPECT_EQ(trace.register_operator(grid3d_stats(4, 7, 1)), 0u);
-}
-
-TEST(TraceTest, ClearEventsKeepsRegistrations) {
-  EventTrace trace;
-  const std::uint32_t op = trace.register_operator(grid3d_stats(4, 7, 1));
-  Event e;
-  e.kind = EventKind::kSpmv;
-  e.index = op;
-  trace.record(e);
-
-  trace.clear_events();
-  EXPECT_TRUE(trace.events().empty());
-  ASSERT_EQ(trace.operators().size(), 1u);  // index `op` is still valid
-  trace.record(e);  // warm-up/measured reuse pattern
-  EXPECT_EQ(trace.counters().spmvs, 1u);
-}
-
 TEST(CostTableTest, TableMatchesPaperAtS3) {
   // Spot-check the published Table I values for s = 3.
   EXPECT_DOUBLE_EQ(cost_row("pcg").allreduces(3), 9.0);

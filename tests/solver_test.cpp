@@ -325,5 +325,31 @@ TEST(SolverTest, HybridReachesTighterToleranceThanPipePscg) {
       << "hybrid should reach what PIPE-PsCG alone may not";
 }
 
+TEST(MonitorTest, FiresAtEveryCheckpointInOrder) {
+  const sparse::CsrMatrix a =
+      sparse::assemble_stencil2d(sparse::stencil_poisson5(), 12, 12, "p");
+  for (const char* method : {"pcg", "pipecg", "pipe-pscg", "scg"}) {
+    krylov::SerialEngine engine(a);
+    krylov::Vec b = engine.new_vec();
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = 1.0;
+    krylov::Vec x = engine.new_vec();
+    krylov::SolverOptions opts;
+    opts.rtol = 1e-7;
+    std::vector<krylov::IterationInfo> seen;
+    opts.monitor = [&seen](const krylov::IterationInfo& info) {
+      seen.push_back(info);
+    };
+    const auto stats = krylov::make_solver(method)->solve(engine, b, x, opts);
+    ASSERT_TRUE(stats.converged) << method;
+    ASSERT_EQ(seen.size(), stats.history.size()) << method;
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i].iteration, stats.history[i].first) << method;
+      if (i > 0) {
+        EXPECT_GE(seen[i].iteration, seen[i - 1].iteration);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pipescg

@@ -315,68 +315,6 @@ INSTANTIATE_TEST_SUITE_P(Ranks, DistCsrTest, ::testing::Values(1, 2, 3, 5, 8));
 }  // namespace
 }  // namespace pipescg::sparse
 
-// -- distributed stencil ------------------------------------------------
-
-#include "pipescg/sparse/dist_stencil.hpp"
-#include "pipescg/sparse/poisson125.hpp"
-#include "pipescg/sparse/stencil_operator.hpp"
-
-namespace pipescg::sparse {
-namespace {
-
-class DistStencilTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(DistStencilTest, MatchesSerialStencilOperator) {
-  const int ranks = GetParam();
-  const std::size_t n = 12;
-  const StencilOperator3D serial(stencil_poisson125(), n, n, n, "ref");
-  const std::size_t total = serial.rows();
-  std::vector<double> x(total), y_ref(total), y(total, 0.0);
-  Rng rng(99);
-  for (auto& v : x) v = rng.uniform(-1.0, 1.0);
-  serial.apply(x, y_ref);
-
-  par::Team::run(ranks, [&](par::Comm& comm) {
-    DistStencil3D dist(stencil_poisson125(), n, n, n, comm.rank(),
-                       comm.size());
-    const std::size_t plane = n * n;
-    const std::size_t begin = dist.z_begin() * plane;
-    std::vector<double> xl(x.begin() + static_cast<std::ptrdiff_t>(begin),
-                           x.begin() + static_cast<std::ptrdiff_t>(
-                                           begin + dist.local_rows()));
-    std::vector<double> yl(dist.local_rows());
-    dist.apply(comm, xl, yl);
-    for (std::size_t i = 0; i < yl.size(); ++i) y[begin + i] = yl[i];
-  });
-  for (std::size_t i = 0; i < total; ++i)
-    ASSERT_NEAR(y[i], y_ref[i], 1e-12 * (1.0 + std::abs(y_ref[i])))
-        << "ranks=" << ranks << " i=" << i;
-}
-
-TEST_P(DistStencilTest, RepeatedAppliesAreConsistent) {
-  const int ranks = GetParam();
-  const std::size_t n = 10;
-  par::Team::run(ranks, [&](par::Comm& comm) {
-    DistStencil3D dist(stencil_poisson27(), n, n, n, comm.rank(),
-                       comm.size());
-    std::vector<double> x(dist.local_rows(), 1.0), y1(dist.local_rows()),
-        y2(dist.local_rows());
-    dist.apply(comm, x, y1);
-    dist.apply(comm, x, y2);
-    for (std::size_t i = 0; i < y1.size(); ++i) ASSERT_EQ(y1[i], y2[i]);
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranks, DistStencilTest, ::testing::Values(1, 2, 3, 4));
-
-TEST(DistStencilTest, RejectsTooThinSlabs) {
-  // 6 planes over 4 ranks -> some rank owns 1 plane < reach 2.
-  EXPECT_THROW(DistStencil3D(stencil_poisson125(), 6, 6, 6, 3, 4), Error);
-}
-
-}  // namespace
-}  // namespace pipescg::sparse
-
 // -- matrix-powers kernel -------------------------------------------------
 
 #include <cstdint>
@@ -545,50 +483,6 @@ TEST(MatrixPowersTest, OneHaloEpochPerBlock) {
     EXPECT_GT(c.halo_volume_doubles, 0u) << "rank " << r;
   }
 }
-
-class StencilPowersTest : public ::testing::TestWithParam<int> {};
-
-// On the structured grid the powers path runs the same sweep kernel on the
-// same values in the same order as chained applies -- bitwise identical.
-// depth * reach = 6 ghost planes exceed the 3-plane slabs at 4 ranks, so
-// the deep pull list spans multiple peers.
-TEST_P(StencilPowersTest, PowersMatchChainedAppliesBitwise) {
-  const int ranks = GetParam();
-  const std::size_t n = 12;
-  const int depth = 3;
-  std::vector<double> x(n * n * n);
-  Rng rng(5);
-  for (auto& v : x) v = rng.uniform(-1.0, 1.0);
-  par::Team::run(ranks, [&](par::Comm& comm) {
-    DistStencil3D dist(stencil_poisson125(), n, n, n, comm.rank(),
-                       comm.size(), depth);
-    const std::size_t plane = n * n;
-    const std::size_t begin = dist.z_begin() * plane;
-    const std::vector<double> xl(
-        x.begin() + static_cast<std::ptrdiff_t>(begin),
-        x.begin() + static_cast<std::ptrdiff_t>(begin + dist.local_rows()));
-    for (int count = 1; count <= depth; ++count) {
-      std::vector<std::vector<double>> ref(
-          static_cast<std::size_t>(count),
-          std::vector<double>(dist.local_rows()));
-      for (std::size_t k = 0; k < ref.size(); ++k)
-        dist.apply(comm, k == 0 ? xl : ref[k - 1], ref[k]);
-      std::vector<std::vector<double>> out(
-          static_cast<std::size_t>(count),
-          std::vector<double>(dist.local_rows()));
-      std::vector<std::span<double>> outs(out.begin(), out.end());
-      dist.apply_powers(comm, xl, outs);
-      for (std::size_t k = 0; k < ref.size(); ++k)
-        for (std::size_t i = 0; i < ref[k].size(); ++i)
-          ASSERT_EQ(out[k][i], ref[k][i])
-              << "ranks=" << ranks << " count=" << count << " k=" << k
-              << " i=" << i;
-    }
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranks, StencilPowersTest,
-                         ::testing::Values(1, 2, 3, 4));
 
 INSTANTIATE_TEST_SUITE_P(Ranks, MatrixPowersTest,
                          ::testing::Values(1, 2, 3, 5, 8));

@@ -12,9 +12,8 @@ It disassembles vector_kernels.cpp.o and engine.cpp.o with `objdump -d -C`
 and checks:
 
   * lincomb, lincomb_program and shift_combine contain packed-double
-    arithmetic (a kernel counts with its <name>_* family:
-    shift_combine runs in shift_combine_with_dots, lincomb in the
-    lincomb_program executor that carries the sweeps);
+    arithmetic (a kernel counts with its <name>_* family: lincomb runs in
+    the lincomb_program executor that carries the sweeps);
   * dot_batch adds with scalar instructions and contains no packed-double
     addition: its sums stay in the scalar loop's order.  A packed multiply there is allowed -- it is GCC's
     in-order reduction, which multiplies element-wise and still adds the
