@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "pipescg/base/error.hpp"
-#include "pipescg/obs/tracing.hpp"
+#include "pipescg/obs/profiler.hpp"
 
 namespace pipescg::fault {
 
@@ -26,21 +26,21 @@ std::size_t RecoveryManager::restore(std::span<double> x) const {
   PIPESCG_CHECK(has_checkpoint(), "rollback without a checkpoint");
   PIPESCG_CHECK(x.size() == x_.size(), "rollback size mismatch");
   std::copy(x_.begin(), x_.end(), x.begin());
-  // Traced requests see every rollback as an instantaneous mark on the
-  // rank's track, so recovery attempts show up in the merged request trace.
-  if (obs::tracing::Tracer* tracer = obs::tracing::Tracer::current())
-    tracer->mark("recovery_rollback",
-                 {{"iteration", static_cast<double>(iteration_)},
-                  {"rnorm", rnorm_}});
+  // Every rollback is an instantaneous mark on the rank's track, so
+  // recovery attempts show up in the recording and the request trace.
+  if (obs::Profiler* prof = obs::Profiler::current())
+    prof->mark("recovery_rollback",
+               {{"iteration", static_cast<double>(iteration_)},
+                {"rnorm", rnorm_}});
   return iteration_;
 }
 
 bool RecoveryManager::admit_failure() {
   if (!enabled_) return false;
   ++recoveries_;
-  if (obs::tracing::Tracer* tracer = obs::tracing::Tracer::current())
-    tracer->mark("recovery_failure_admitted",
-                 {{"recoveries", static_cast<double>(recoveries_)}});
+  if (obs::Profiler* prof = obs::Profiler::current())
+    prof->mark("recovery_failure_admitted",
+               {{"recoveries", static_cast<double>(recoveries_)}});
   if (escalated_) {
     // Gap-monitor escalation: jump straight to the degrade-s threshold.
     consecutive_ = 2;

@@ -18,9 +18,9 @@ bool is_allreduce_wait(SpanKind k) {
          k == SpanKind::kAllreduceWaitNonblocking;
 }
 
-// Per-rank view of a profile: spans sorted by start (per-rank spans are
-// sequential and non-overlapping, so this is also end order), plus the
-// per-kind orderings used to match collectives across ranks.
+// Per-rank view of a profile: kernel spans sorted by start (per-rank kernel
+// spans are sequential and non-overlapping, so this is also end order), plus
+// the per-kind orderings used to match collectives across ranks.
 struct RankSpans {
   std::vector<Span> sorted;
   std::vector<double> ends;  // sorted[i].end, for binary search
@@ -34,7 +34,8 @@ std::vector<RankSpans> index_profile(const SolveProfile& profile) {
   std::vector<RankSpans> out(static_cast<std::size_t>(profile.ranks()));
   for (int r = 0; r < profile.ranks(); ++r) {
     RankSpans& rs = out[static_cast<std::size_t>(r)];
-    rs.sorted = profile.rank(r).spans();
+    for (const Span& s : profile.rank(r).spans())
+      if (s.is_kernel()) rs.sorted.push_back(s);
     std::stable_sort(rs.sorted.begin(), rs.sorted.end(),
                      [](const Span& a, const Span& b) {
                        return a.start < b.start;
@@ -57,16 +58,6 @@ std::size_t ordinal_of(const std::vector<std::size_t>& order,
                        std::size_t idx) {
   const auto it = std::lower_bound(order.begin(), order.end(), idx);
   return static_cast<std::size_t>(it - order.begin());
-}
-
-MinMedMax min_med_max(std::vector<double> v) {
-  MinMedMax m;
-  if (v.empty()) return m;
-  std::sort(v.begin(), v.end());
-  m.min = v.front();
-  m.max = v.back();
-  m.median = v[v.size() / 2];
-  return m;
 }
 
 // Backward walk from the globally last span end.  At collective joins the
@@ -194,6 +185,16 @@ CriticalPath walk_critical_path(const std::vector<RankSpans>& ranks) {
 }
 
 }  // namespace
+
+MinMedMax min_med_max(std::vector<double> v) {
+  MinMedMax m;
+  if (v.empty()) return m;
+  std::sort(v.begin(), v.end());
+  m.min = v.front();
+  m.max = v.back();
+  m.median = v[v.size() / 2];
+  return m;
+}
 
 OverlapReport analyze_overlap(const SolveProfile& profile) {
   OverlapReport report;

@@ -71,6 +71,9 @@ struct MinMedMax {
   double max = 0.0;
 };
 
+/// min, median (the upper middle) and max of `v`; all zero when empty.
+MinMedMax min_med_max(std::vector<double> v);
+
 /// Seconds of the critical path spent in one span kind.
 struct KindAttribution {
   std::string kind;  // obs::to_string(SpanKind), or "untracked"

@@ -213,7 +213,7 @@ class QueuePressureMonitor {
 // --- mid-solve probe --------------------------------------------------------
 
 /// Per-rank-thread glue installed for the duration of a monitored solve
-/// (the same thread-local Install idiom as Profiler/Tracer).  Each
+/// (the same thread-local Install idiom as Profiler).  Each
 /// checkpoint: every rank publishes its own profiler's exposed-wait total
 /// to the shared StragglerDetector; rank 0 additionally runs the straggler
 /// evaluation and the stall detector and emits any resulting alerts to the

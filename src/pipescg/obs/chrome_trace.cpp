@@ -1,5 +1,9 @@
 #include "pipescg/obs/chrome_trace.hpp"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 namespace pipescg::obs {
 namespace {
 
@@ -53,11 +57,36 @@ void ChromeTraceBuilder::add_span(int pid, int tid, const std::string& name,
 
 void add_profile(ChromeTraceBuilder& builder, const SolveProfile& profile,
                  int pid, const std::string& process_name) {
+  const tracing::TraceContext& ctx = profile.context();
+  const int ranks = profile.ranks();
+  const int tracks = ranks + (profile.service().ring().size() > 0 ? 1 : 0);
   builder.name_process(pid, process_name);
-  for (int r = 0; r < profile.ranks(); ++r) {
-    builder.name_thread(pid, r, "rank " + std::to_string(r));
-    for (const Span& s : profile.rank(r).spans())
-      builder.add_span(pid, r, to_string(s.kind), "measured", s.start, s.end);
+  for (int t = 0; t < tracks; ++t)
+    builder.name_thread(pid, t, t < ranks ? "rank " + std::to_string(t)
+                                          : std::string("service"));
+  for (int t = 0; t < tracks; ++t) {
+    std::vector<Span> spans =
+        (t < ranks ? profile.rank(t) : profile.service()).spans();
+    // Deterministic order independent of rank interleaving: span data alone
+    // decides the output (span ids break start-time ties).
+    std::stable_sort(spans.begin(), spans.end(),
+                     [](const Span& a, const Span& b) {
+                       return a.start != b.start ? a.start < b.start
+                                                 : a.span_id < b.span_id;
+                     });
+    for (const Span& s : spans) {
+      json::Value args = json::Value::object();
+      if (ctx.valid()) {
+        args.set("trace_id", static_cast<double>(ctx.trace_id));
+        args.set("span_id", static_cast<double>(s.span_id));
+        args.set("parent_span_id", static_cast<double>(s.parent_span_id));
+      }
+      for (const SpanArg& a : s.args)
+        if (a.key != nullptr) args.set(a.key, a.value);
+      builder.add_span(pid, t, s.name, ctx.valid() ? "request" : "measured",
+                       s.start, s.end,
+                       args.size() > 0 ? std::move(args) : json::Value());
+    }
   }
 }
 

@@ -2,10 +2,11 @@
 //
 // Every Chrome trace the repo writes goes through ChromeTraceBuilder, so the
 // sources are visually comparable:
-//   * a measured obs::SolveProfile -- one track (tid) per SPMD rank;
+//   * a recording (obs::SolveProfile) -- one track (tid) per SPMD rank plus
+//     the service track; a request recording is the same tracks with trace
+//     ids in every event's args (tracing::merge_trace);
 //   * a modeled sim::Timeline schedule -- one track for the representative
-//     rank clock plus a "network" track showing each collective in flight;
-//   * a merged per-request trace (tracing::merge_trace).
+//     rank clock plus a "network" track showing each collective in flight.
 // Each source becomes one trace "process" (pid), so a single file can hold
 // the measured run and its model side by side.
 #pragma once
@@ -42,8 +43,11 @@ class ChromeTraceBuilder {
   json::Value* events();
 };
 
-/// Append a measured per-rank profile as process `pid`: one thread per rank,
-/// spans categorized "measured".
+/// Append a recording as process `pid`: one thread per rank plus "service"
+/// when that track holds spans, events ordered by (track, start, span id)
+/// and carrying their span args.  Spans are categorized "measured", or
+/// "request" with trace_id/span_id/parent_span_id args when the recording
+/// has a trace context.
 void add_profile(ChromeTraceBuilder& builder, const SolveProfile& profile,
                  int pid, const std::string& process_name);
 

@@ -11,63 +11,31 @@
 namespace pipescg::obs::metrics {
 namespace {
 
-// Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*.
-bool valid_name(const std::string& name) {
-  if (name.empty()) return false;
-  auto head = [](char c) {
+// Prometheus metric names are [a-zA-Z_:][a-zA-Z0-9_:]*; label keys are the
+// same without ':' (and a "__" prefix is reserved).
+bool valid_identifier(const std::string& s, bool colon) {
+  auto head = [colon](char c) {
     return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
-           c == ':';
+           (colon && c == ':');
   };
-  if (!head(name[0])) return false;
-  for (const char c : name)
+  if (s.empty() || !head(s[0])) return false;
+  for (const char c : s)
     if (!head(c) && !(c >= '0' && c <= '9')) return false;
   return true;
 }
 
-bool valid_label_key(const std::string& key) {
-  if (key.empty() || key.rfind("__", 0) == 0) return false;  // reserved
-  auto head = [](char c) {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
-  };
-  if (!head(key[0])) return false;
-  for (const char c : key)
-    if (!head(c) && !(c >= '0' && c <= '9')) return false;
-  return true;
-}
-
-// Label-value escaping per the exposition format: backslash, double quote,
-// and line feed.
-void append_escaped_label_value(std::string& out, const std::string& v) {
+// Escaping per the exposition format: backslash and line feed, plus the
+// double quote inside label values (not in HELP text).
+void append_escaped(std::string& out, const std::string& v, bool quote) {
   for (const char c : v) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-}
-
-// HELP text escaping: backslash and line feed only.
-void append_escaped_help(std::string& out, const std::string& v) {
-  for (const char c : v) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
+    if (c == '\\')
+      out += "\\\\";
+    else if (c == '\n')
+      out += "\\n";
+    else if (quote && c == '"')
+      out += "\\\"";
+    else
+      out += c;
   }
 }
 
@@ -80,7 +48,7 @@ std::string render_labels(const Labels& labels) {
     if (i != 0) out += ',';
     out += labels[i].first;
     out += "=\"";
-    append_escaped_label_value(out, labels[i].second);
+    append_escaped(out, labels[i].second, /*quote=*/true);
     out += '"';
   }
   out += '}';
@@ -97,14 +65,8 @@ std::string render_labels_with(const Labels& labels, const std::string& key,
 }
 
 const char* type_name(int t) {
-  switch (t) {
-    case 0:
-      return "counter";
-    case 1:
-      return "gauge";
-    default:
-      return "histogram";
-  }
+  static constexpr const char* kNames[] = {"counter", "gauge", "histogram"};
+  return kNames[t];
 }
 
 }  // namespace
@@ -139,10 +101,12 @@ Registry::~Registry() = default;
 Registry::Series& Registry::series(const std::string& name,
                                    const std::string& help, Type type,
                                    Labels&& labels) {
-  PIPESCG_CHECK(valid_name(name), "metrics: invalid metric name '" + name + "'");
+  PIPESCG_CHECK(valid_identifier(name, /*colon=*/true),
+                "metrics: invalid metric name '" + name + "'");
   std::sort(labels.begin(), labels.end());
   for (std::size_t i = 0; i < labels.size(); ++i) {
-    PIPESCG_CHECK(valid_label_key(labels[i].first),
+    PIPESCG_CHECK(labels[i].first.rfind("__", 0) != 0 &&
+                      valid_identifier(labels[i].first, /*colon=*/false),
                   "metrics: invalid label key '" + labels[i].first + "' on '" +
                       name + "'");
     PIPESCG_CHECK(i == 0 || labels[i - 1].first != labels[i].first,
@@ -190,19 +154,19 @@ std::string Registry::prometheus() const {
   std::string out;
   for (const auto& [name, family] : families_) {
     out += "# HELP " + name + " ";
-    append_escaped_help(out, family->help);
+    append_escaped(out, family->help, /*quote=*/false);
     out += "\n# TYPE " + name + " ";
     out += type_name(static_cast<int>(family->type));
     out += '\n';
     for (const auto& [label_key, s] : family->series) {
       switch (family->type) {
         case Type::kCounter:
-          out += name + label_key + " " +
-                 json::number_to_string(s->counter.value()) + "\n";
-          break;
         case Type::kGauge:
           out += name + label_key + " " +
-                 json::number_to_string(s->gauge.value()) + "\n";
+                 json::number_to_string(family->type == Type::kCounter
+                                            ? s->counter.value()
+                                            : s->gauge.value()) +
+                 "\n";
           break;
         case Type::kHistogram: {
           // Cumulative buckets, non-empty ones only (64 log2 buckets per
@@ -250,10 +214,10 @@ json::Value Registry::to_json() const {
       entry.set("labels", std::move(labels));
       switch (family->type) {
         case Type::kCounter:
-          entry.set("value", s->counter.value());
-          break;
         case Type::kGauge:
-          entry.set("value", s->gauge.value());
+          entry.set("value", family->type == Type::kCounter
+                                 ? s->counter.value()
+                                 : s->gauge.value());
           break;
         case Type::kHistogram: {
           const LatencyHistogram h = s->histogram.snapshot();

@@ -5,34 +5,11 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <utility>
+
+#include "pipescg/base/error.hpp"
 
 namespace pipescg::obs {
-
-const char* to_string(SpanKind kind) {
-  switch (kind) {
-    case SpanKind::kSpmvLocal:
-      return "spmv_local";
-    case SpanKind::kHaloExpose:
-      return "halo_expose";
-    case SpanKind::kHaloPeerRead:
-      return "halo_peer_read";
-    case SpanKind::kHaloClose:
-      return "halo_close";
-    case SpanKind::kPcApply:
-      return "pc_apply";
-    case SpanKind::kDotLocal:
-      return "dot_local";
-    case SpanKind::kAllreducePost:
-      return "allreduce_post";
-    case SpanKind::kAllreduceWaitBlocking:
-      return "allreduce_wait_blocking";
-    case SpanKind::kAllreduceWaitNonblocking:
-      return "allreduce_wait_nonblocking";
-    case SpanKind::kCount_:
-      break;
-  }
-  return "?";
-}
 
 namespace {
 
@@ -94,10 +71,66 @@ double LatencyHistogram::quantile(double q) const {
   return max_;
 }
 
-SolveProfile::SolveProfile(int ranks) {
-  const Profiler::Clock::time_point epoch = Profiler::Clock::now();
+std::uint64_t Profiler::record(const char* name, double start, double end,
+                               std::initializer_list<SpanArg> args) {
+  return push_named(name, start, end, mint(), {args.begin(), args.size()});
+}
+
+std::uint64_t Profiler::push_named(const char* name, double start, double end,
+                                   std::uint64_t id,
+                                   std::span<const SpanArg> args) {
+  PIPESCG_CHECK(args.size() <= Span::kMaxArgs, "too many span args");
+  Span span(name, start, end, id, current_parent());
+  std::copy(args.begin(), args.end(), span.args.begin());
+  push(span);
+  return id;
+}
+
+std::uint64_t Profiler::mark(const char* name,
+                             std::initializer_list<SpanArg> args) {
+  const double t = now();
+  return record(name, t, t, args);
+}
+
+void Profiler::checkpoint(std::uint64_t iteration, double rnorm) {
+  const double t = now();
+  record("outer_iteration", std::exchange(last_checkpoint_, t), t,
+         {{"iteration", static_cast<double>(iteration)}, {"rnorm", rnorm}});
+}
+
+SpanScope::SpanScope(Profiler* p, const char* name, double start)
+    : p_(p), name_(name), start_(start) {
+  if (p_ == nullptr) return;
+  span_id_ = p_->mint();
+  p_->parents_.push_back(span_id_);
+  // Checkpoint spans measure time since the previous checkpoint; the first
+  // one inside a fresh scope must not reach back before the scope opened
+  // (it would escape its parent in the exported trace).
+  p_->last_checkpoint_ = start_;
+}
+
+void SpanScope::arg(const char* key, double value) {
+  PIPESCG_CHECK(nargs_ < Span::kMaxArgs, "too many span args");
+  args_[nargs_++] = SpanArg{key, value};
+}
+
+void SpanScope::close() {
+  if (name_ == nullptr) {
+    p_->record(kind_, start_, p_->now());
+    return;
+  }
+  p_->parents_.pop_back();
+  p_->push_named(name_, start_, p_->now(), span_id_, {args_.data(), nargs_});
+}
+
+SolveProfile::SolveProfile(int ranks, std::size_t capacity,
+                           tracing::TraceContext context,
+                           Profiler::Clock::time_point epoch)
+    : context_(context),
+      service_(ranks, epoch, capacity, context.parent_span_id) {
   profilers_.reserve(static_cast<std::size_t>(ranks));
-  for (int r = 0; r < ranks; ++r) profilers_.emplace_back(r, epoch);
+  for (int r = 0; r < ranks; ++r)
+    profilers_.emplace_back(r, epoch, capacity, context.parent_span_id);
 }
 
 SolveProfile::Aggregate SolveProfile::aggregate(SpanKind kind) const {

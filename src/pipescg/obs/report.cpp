@@ -1,11 +1,34 @@
 #include "pipescg/obs/report.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "pipescg/obs/metrics.hpp"
 
 namespace pipescg::obs {
+namespace {
+
+json::Value min_med_max_to_json(const MinMedMax& m) {
+  json::Value v = json::Value::object();
+  v.set("min", m.min);
+  v.set("median", m.median);
+  v.set("max", m.max);
+  return v;
+}
+
+// One histogram as {"count", "p50/p95/p99_seconds", ...}.
+json::Value histogram_to_json(const LatencyHistogram& h) {
+  json::Value v = json::Value::object();
+  v.set("count", h.count());
+  v.set("sum_seconds", h.sum_seconds());
+  v.set("min_seconds", h.min_seconds());
+  v.set("p50_seconds", h.quantile(0.50));
+  v.set("p95_seconds", h.quantile(0.95));
+  v.set("p99_seconds", h.quantile(0.99));
+  v.set("max_seconds", h.max_seconds());
+  return v;
+}
+
+}  // namespace
 
 json::Value stats_to_json(const krylov::SolveStats& stats) {
   json::Value v = json::Value::object();
@@ -77,18 +100,6 @@ json::Value counters_to_json(const sim::EventTrace::Counters& counters) {
   return v;
 }
 
-json::Value histogram_to_json(const LatencyHistogram& h) {
-  json::Value v = json::Value::object();
-  v.set("count", h.count());
-  v.set("sum_seconds", h.sum_seconds());
-  v.set("min_seconds", h.min_seconds());
-  v.set("p50_seconds", h.quantile(0.50));
-  v.set("p95_seconds", h.quantile(0.95));
-  v.set("p99_seconds", h.quantile(0.99));
-  v.set("max_seconds", h.max_seconds());
-  return v;
-}
-
 json::Value profile_to_json(const SolveProfile& profile) {
   json::Value v = json::Value::object();
   v.set("ranks", profile.ranks());
@@ -133,18 +144,12 @@ json::Value profile_to_json(const SolveProfile& profile) {
 
   // min/median/max over ranks of the fault-recovery counter, explicit even
   // when every rank recorded zero.
-  {
-    std::vector<double> rec;
-    rec.reserve(static_cast<std::size_t>(profile.ranks()));
-    for (int r = 0; r < profile.ranks(); ++r)
-      rec.push_back(static_cast<double>(profile.rank(r).counters().recoveries));
-    std::sort(rec.begin(), rec.end());
-    json::Value entry = json::Value::object();
-    entry.set("min", rec.empty() ? 0.0 : rec.front());
-    entry.set("median", rec.empty() ? 0.0 : rec[rec.size() / 2]);
-    entry.set("max", rec.empty() ? 0.0 : rec.back());
-    v.set("recoveries_over_ranks", std::move(entry));
-  }
+  std::vector<double> recoveries;
+  for (int r = 0; r < profile.ranks(); ++r)
+    recoveries.push_back(
+        static_cast<double>(profile.rank(r).counters().recoveries));
+  v.set("recoveries_over_ranks",
+        min_med_max_to_json(min_med_max(std::move(recoveries))));
 
   // Cross-rank latency histograms: all span kinds plus the composite
   // whole-epoch halo exchange sampled by par::Comm::exchange.
@@ -170,15 +175,9 @@ json::Value overlap_to_json(const OverlapReport& report) {
   v.set("total_wait_seconds", report.total_wait_seconds);
   v.set("efficiency", report.efficiency);
 
-  auto mmm = [](const MinMedMax& m) {
-    json::Value e = json::Value::object();
-    e.set("min", m.min);
-    e.set("median", m.median);
-    e.set("max", m.max);
-    return e;
-  };
-  v.set("efficiency_over_ranks", mmm(report.efficiency_over_ranks));
-  v.set("exposed_over_ranks", mmm(report.exposed_over_ranks));
+  v.set("efficiency_over_ranks",
+        min_med_max_to_json(report.efficiency_over_ranks));
+  v.set("exposed_over_ranks", min_med_max_to_json(report.exposed_over_ranks));
 
   json::Value per_rank = json::Value::array();
   for (const RankOverlap& ro : report.per_rank) {

@@ -36,9 +36,6 @@ json::Value counters_to_json(const sim::EventTrace::Counters& counters);
 /// count, so reports from different runs diff key-for-key.
 json::Value profile_to_json(const SolveProfile& profile);
 
-/// One histogram as {"count", "p50/p95/p99_seconds", ...}.
-json::Value histogram_to_json(const LatencyHistogram& h);
-
 /// Overlap-analyzer output: totals, per-rank summaries (block details stay
 /// in the C++ structs), imbalance, and the critical-path attribution.
 json::Value overlap_to_json(const OverlapReport& report);

@@ -1,6 +1,6 @@
 // The thread-local "current instance" slot every per-thread observer uses.
 //
-// Profiler, Tracer, MidSolveProbe, LiveSolve, ConvergenceTelemetry and
+// Profiler, MidSolveProbe, LiveSolve, ConvergenceTelemetry and
 // fault::Injector are each installed on a rank thread for the duration of a
 // solve, and the runtime's hook points reach them through T::current(): one
 // thread-local load and a null check, no synchronization.  Deriving from

@@ -7,13 +7,13 @@
 #include "pipescg/obs/anomaly.hpp"
 #include "pipescg/obs/json.hpp"
 #include "pipescg/obs/metrics.hpp"
-#include "pipescg/obs/tracing.hpp"
+#include "pipescg/obs/profiler.hpp"
 
 namespace pipescg::obs {
 
 void checkpoint(const Checkpoint& cp) {
-  if (tracing::Tracer* tracer = tracing::Tracer::current())
-    tracer->checkpoint(cp.iteration, cp.rnorm);
+  if (Profiler* prof = Profiler::current())
+    prof->checkpoint(cp.iteration, cp.rnorm);
   if (anomaly::MidSolveProbe* probe = anomaly::MidSolveProbe::current())
     probe->on_checkpoint(cp.iteration, cp.rnorm, cp.column);
   if (metrics::LiveSolve* live = metrics::LiveSolve::current())

@@ -61,8 +61,6 @@ class ConvergenceTelemetry : public ThreadSlot<ConvergenceTelemetry> {
 
   void record(TelemetryRecord rec) { ring_.push(std::move(rec)); }
 
-  const std::string& method() const { return method_; }
-  std::size_t capacity() const { return ring_.capacity(); }
   std::size_t size() const { return ring_.size(); }
   /// Records overwritten because the ring filled (oldest-first eviction).
   std::size_t dropped() const { return ring_.dropped(); }
@@ -103,7 +101,7 @@ struct Checkpoint {
 };
 
 /// The one checkpoint hook, fanned out to every installed observer: the
-/// request Tracer (an outer_iteration span), the MidSolveProbe (straggler
+/// rank's Profiler (an outer_iteration span), the MidSolveProbe (straggler
 /// and stall detectors), the LiveSolve gauges and the ConvergenceTelemetry
 /// sink.  Each absent observer costs one thread-local null check.
 void checkpoint(const Checkpoint& cp);

@@ -57,9 +57,9 @@ class Backoff {
 // Compose the per-rank state dump and throw CommTimeout.  `where` names the
 // spin loop; `detail` carries its live state (generation, slot, progress
 // counters).  The calling thread's profiler, when installed, contributes
-// its last recorded activity -- which iteration the rank reached and what
-// kind of span it measured last -- so a post-mortem can tell a straggler
-// from a dead peer.
+// its last recorded activity -- which iteration the rank reached, how many
+// spans it recorded and which one closed last -- so a post-mortem can tell
+// a straggler from a dead peer.
 [[noreturn]] void throw_comm_timeout(const char* where, int rank,
                                      double elapsed_ms,
                                      const std::string& detail) {
@@ -68,10 +68,11 @@ class Backoff {
      << " ms in " << where;
   if (!detail.empty()) os << " (" << detail << ")";
   if (const obs::Profiler* prof = obs::Profiler::current()) {
+    // spans= counts every span the rank recorded, evicted ones included:
+    // the ring keeps only the newest, and the count measures progress.
     os << "; profiler: iterations=" << prof->counters().iterations
-       << " spans=" << prof->spans().size();
-    if (!prof->spans().empty())
-      os << " last=" << obs::to_string(prof->spans().back().kind);
+       << " spans=" << prof->ring().size() + prof->ring().dropped();
+    if (prof->ring().size() > 0) os << " last=" << prof->ring().back().name;
   }
   g_watchdog_trips.fetch_add(1, std::memory_order_relaxed);
   throw CommTimeout(rank, os.str());

@@ -269,50 +269,45 @@ void Session::run_chunk(std::span<SolveContext* const> ctxs) {
   const int ranks = config_.ranks;
 
   // --- per-request observability setup ------------------------------------
-  // Tracing merges every rank's span ring into one Chrome trace per
-  // request; the detectors need measured per-rank waits, so either one
-  // turns the per-rank profilers on.  All of it only OBSERVES: no
-  // collectives, no solver state, so the iterate trajectory is bitwise
-  // identical with observability on or off.
+  // Tracing renders the request's recording as one Chrome trace; the
+  // detectors need measured per-rank waits, so either one turns the
+  // recording on.  All of it only OBSERVES: no collectives, no solver
+  // state, so the iterate trajectory is bitwise identical with
+  // observability on or off.
   const bool tracing_on = obs_.traces != nullptr;
   const bool detectors_on = alerting && obs_.detectors && ranks >= 2;
-  const bool profiling = tracing_on || detectors_on;
-  const std::uint64_t req_trace_id = live[0]->trace_.trace_id;
 
-  std::unique_ptr<obs::tracing::RequestTrace> rtrace;
-  std::unique_ptr<obs::tracing::Tracer> svc_tracer;
-  std::uint64_t root_id = 0;
+  // Recording epoch: the earliest instant this request touched the service
+  // (its enqueue, for drained jobs), so queue wait is on the trace.
+  auto epoch = now;
+  for (const SolveContext* ctx : live)
+    if (ctx->enqueued_at_ != std::chrono::steady_clock::time_point{} &&
+        ctx->enqueued_at_ < epoch)
+      epoch = ctx->enqueued_at_;
+  std::unique_ptr<obs::SolveProfile> profile;
+  if (tracing_on || detectors_on)
+    profile = std::make_unique<obs::SolveProfile>(
+        ranks, obs::Profiler::kDefaultCapacity, live[0]->trace_, epoch);
+  // The request root opens at the epoch on the service track; every rank
+  // track nests under it.
+  std::optional<obs::SpanScope> request;
   if (tracing_on) {
-    // Base epoch: the earliest instant this request touched the service
-    // (its enqueue, for drained jobs), so queue wait is on the trace.
-    auto base = now;
-    for (const SolveContext* ctx : live)
-      if (ctx->enqueued_at_ != std::chrono::steady_clock::time_point{} &&
-          ctx->enqueued_at_ < base)
-        base = ctx->enqueued_at_;
-    rtrace = std::make_unique<obs::tracing::RequestTrace>(
-        live[0]->trace_, ranks, obs_.trace_capacity, base);
-    root_id = rtrace->service_ring().mint();
-    svc_tracer = std::make_unique<obs::tracing::Tracer>(
-        obs::tracing::TraceContext{req_trace_id, root_id},
-        rtrace->service_ring(), base);
-    const double svc_offset = rtrace->service_ring().clock_offset();
+    obs::Profiler& svc = profile->service();
+    request.emplace(&svc, "request", /*start=*/0.0);
+    for (int r = 0; r < ranks; ++r)
+      profile->rank(r).nest_under(request->span_id());
     for (std::size_t c = 0; c < k; ++c) {
       const SolveContext* ctx = live[c];
       if (ctx->enqueued_at_ == std::chrono::steady_clock::time_point{})
         continue;
-      const double enq =
-          std::chrono::duration<double>(ctx->enqueued_at_ - base).count();
-      svc_tracer->record(
-          "queue_wait", enq - svc_offset, svc_tracer->now(),
+      svc.record(
+          "queue_wait",
+          std::chrono::duration<double>(ctx->enqueued_at_ - epoch).count(),
+          svc.now(),
           {{"column", static_cast<double>(c)},
            {"column_trace_id", static_cast<double>(ctx->trace_.trace_id)}});
     }
   }
-
-  std::unique_ptr<obs::SolveProfile> profile;
-  if (profiling) profile = std::make_unique<obs::SolveProfile>(ranks);
-  std::vector<std::uint64_t> rank_roots(static_cast<std::size_t>(ranks), 0);
 
   std::unique_ptr<obs::anomaly::StragglerDetector> straggler;
   std::unique_ptr<obs::anomaly::StallDetector> stall;
@@ -324,7 +319,7 @@ void Session::run_chunk(std::span<SolveContext* const> ctxs) {
     probe_shared.straggler = straggler.get();
     probe_shared.stall = stall.get();
     probe_shared.sink = nullptr;  // alerts route through emit_alert below
-    probe_shared.trace_id = req_trace_id;
+    probe_shared.trace_id = live[0]->trace_.trace_id;
     probe_shared.on_alert = [](void* arg,
                                const obs::anomaly::Alert& alert) {
       static_cast<Session*>(arg)->emit_alert(alert);
@@ -354,19 +349,10 @@ void Session::run_chunk(std::span<SolveContext* const> ctxs) {
         injector_install.emplace(&*injector);
       }
 
-      // Request tracing: this rank's tracer records into its own ring of
-      // the shared RequestTrace; the rank_solve scope is the rank's root
-      // span, parented under the service-track request span.
-      std::optional<obs::tracing::Tracer> tracer;
-      std::optional<obs::tracing::Tracer::Install> tracer_install;
-      if (rtrace != nullptr) {
-        tracer.emplace(obs::tracing::TraceContext{req_trace_id, root_id},
-                       rtrace->rank_ring(rank), rtrace->base_epoch());
-        tracer_install.emplace(&*tracer);
-      }
-      obs::tracing::Tracer* tr = tracer ? &*tracer : nullptr;
-      obs::tracing::TraceScope rank_scope(tr, "rank_solve");
-      rank_roots[static_cast<std::size_t>(rank)] = rank_scope.span_id();
+      // The rank's track of the recording; rank_solve is its root span.
+      obs::Profiler* prof =
+          profile != nullptr ? &profile->rank(rank) : nullptr;
+      const obs::SpanScope rank_scope(prof, "rank_solve");
 
       std::optional<obs::anomaly::MidSolveProbe> probe;
       std::optional<obs::anomaly::MidSolveProbe::Install> probe_install;
@@ -375,9 +361,8 @@ void Session::run_chunk(std::span<SolveContext* const> ctxs) {
         probe_install.emplace(&*probe);
       }
 
-      krylov::SpmdEngine engine(
-          comm, *rs.dist, use_pc ? rs.pc.get() : nullptr,
-          profile != nullptr ? &profile->rank(rank) : nullptr, mpk);
+      krylov::SpmdEngine engine(comm, *rs.dist,
+                                use_pc ? rs.pc.get() : nullptr, prof, mpk);
       const std::size_t begin = partition_.begin(rank);
       const std::size_t len = partition_.local_size(rank);
 
@@ -386,7 +371,7 @@ void Session::run_chunk(std::span<SolveContext* const> ctxs) {
       bs.reserve(k);
       xs.reserve(k);
       {
-        obs::tracing::TraceScope scope(tr, "scatter");
+        const obs::SpanScope scope(prof, "scatter");
         for (const SolveContext* ctx : live) {
           krylov::Vec b = engine.new_vec();
           krylov::Vec x = engine.new_vec();
@@ -401,7 +386,7 @@ void Session::run_chunk(std::span<SolveContext* const> ctxs) {
 
       std::vector<krylov::SolveStats> local_stats;
       {
-        obs::tracing::TraceScope scope(tr, "solve");
+        const obs::SpanScope scope(prof, "solve");
         if (k == 1) {
           local_stats.push_back(krylov::make_solver(method)->solve(
               engine, bs[0], xs[0], opts));
@@ -415,7 +400,7 @@ void Session::run_chunk(std::span<SolveContext* const> ctxs) {
       // Every rank writes its own disjoint row slice of each iterate; the
       // replicated scalar stats are taken from rank 0.
       {
-        obs::tracing::TraceScope scope(tr, "gather");
+        const obs::SpanScope scope(prof, "gather");
         for (std::size_t c = 0; c < k; ++c)
           for (std::size_t i = 0; i < len; ++i)
             live[c]->x_[begin + i] = xs[c][i];
@@ -435,22 +420,12 @@ void Session::run_chunk(std::span<SolveContext* const> ctxs) {
     live_metrics_.straggler_rank->set(
         static_cast<double>(straggler->candidate()));
 
-  if (rtrace != nullptr) {
-    // Merge: measured kernel spans nest under each rank's root, the
-    // service-track request span closes over everything, and the whole
-    // request becomes one clock-aligned Perfetto file.
-    if (profile != nullptr) rtrace->add_profile(*profile, rank_roots);
-    obs::tracing::TraceSpan root;
-    root.name = "request";
-    root.span_id = root_id;
-    root.parent_span_id = 0;
-    root.start = -rtrace->service_ring().clock_offset();  // == base epoch
-    root.end = svc_tracer->now();
-    root.args = {{"columns", static_cast<double>(k)},
-                 {"setup_cache_hit", 1.0},
-                 {"failed", failed ? 1.0 : 0.0}};
-    rtrace->service_ring().push(std::move(root));
-    const std::string path = obs_.traces->write(*rtrace);
+  if (request) {
+    request->arg("columns", static_cast<double>(k));
+    request->arg("setup_cache_hit", 1.0);
+    request->arg("failed", failed ? 1.0 : 0.0);
+    request.reset();
+    const std::string path = obs_.traces->write(*profile);
     for (SolveContext* ctx : live) ctx->trace_path_ = path;
   }
 

@@ -90,9 +90,6 @@ struct Observability {
   obs::anomaly::StragglerConfig straggler;
   obs::anomaly::StallConfig stall;
   obs::anomaly::QueuePressureConfig queue_pressure;
-
-  /// Span-ring capacity per rank track of a traced request.
-  std::size_t trace_capacity = obs::tracing::SpanRing::kDefaultCapacity;
 };
 
 /// Counts of the expensive per-operator builds a Session performs.  All of

@@ -1,16 +1,16 @@
 // Output pins for the observation layer.
 //
-// Hand-built inputs (fixed span times, fixed histograms, fixed ring clock
-// offsets) are rendered through the three exporters an outside reader
-// consumes, and each rendering is compared against a table generated from
-// the exporters before they were restructured:
+// Hand-built inputs (fixed span times, fixed histograms) are rendered
+// through the three exporters an outside reader consumes, and each rendering
+// is compared against a table generated from the exporters before they were
+// restructured:
 //
 //   * profile_to_json, byte for byte;
 //   * the Prometheus exposition of register_profile + register_session,
 //     byte for byte;
-//   * merge_trace of a RequestTrace, compared as parsed JSON: object keys
-//     are order-free inside a Chrome event, and a metadata event without a
-//     "tid" reads as tid 0 (the trace-event format's default).
+//   * merge_trace of a request recording, compared as parsed JSON: object
+//     keys are order-free inside a Chrome event, and a metadata event
+//     without a "tid" reads as tid 0 (the trace-event format's default).
 //
 // A pin left empty in the table makes its test print the generated text.
 // The reference check at the bottom runs a real 2-rank solve and holds the
@@ -152,59 +152,44 @@ TEST(ObsPinTest, PrometheusExpositionOfProfileAndSession) {
   expect_pin("prometheus", kPrometheusPin, registry.prometheus());
 }
 
-TEST(ObsPinTest, MergedRequestTrace) {
-  SolveProfile profile(2);
-  fill_profile(profile);
-  using tracing::TraceSpan;
-  // Base epoch == profile epoch, so profile spans align by the ring offsets
-  // alone; capacity 6 makes rank 0's ring evict its oldest spans.
-  tracing::RequestTrace trace(tracing::TraceContext{7, 0}, 2, /*capacity=*/6,
-                              profile.rank(0).epoch());
-  trace.rank_ring(0).set_clock_offset(5.0e-7);
-  trace.rank_ring(1).set_clock_offset(-2.5e-7);
-  trace.service_ring().set_clock_offset(0.0);
-
-  tracing::SpanRing& svc = trace.service_ring();
+TEST(ObsPinTest, MergedTraceOfARequest) {
+  SolveProfile kernels(2);
+  fill_profile(kernels);
+  // Capacity 6 makes both rank tracks evict their oldest spans.  Rank span
+  // times are where the per-track clock skews of the pinned rendering (+0.5
+  // and -0.25 us) left them: a scope span at t + skew, a kernel span taken
+  // into and back out of its track's clock as (t - skew) + skew.
+  SolveProfile trace(2, /*capacity=*/6, tracing::TraceContext{7, 0});
+  const double skews[] = {5.0e-7, -2.5e-7};
+  Profiler& svc = trace.service();
   const std::uint64_t root = svc.mint();
-  std::vector<std::uint64_t> roots;
   for (int r = 0; r < 2; ++r) {
-    tracing::SpanRing& ring = trace.rank_ring(r);
-    TraceSpan span;
-    span.name = "rank_solve";
-    span.span_id = ring.mint();
-    span.parent_span_id = root;
-    span.start = 0.0;
-    span.end = 3.5e-5;
-    roots.push_back(span.span_id);
-    TraceSpan outer;
-    outer.name = "outer_iteration";
-    outer.span_id = ring.mint();
-    outer.parent_span_id = span.span_id;
-    outer.start = 2.0e-6;
-    outer.end = 3.0e-5;
-    outer.args = {{"iteration", 3.0}, {"rnorm", 0.125}};
-    ring.push(std::move(span));
-    ring.push(std::move(outer));
+    Profiler& track = trace.rank(r);
+    const double skew = skews[r];
+    const Span rank_solve{"rank_solve", 0.0 + skew, 3.5e-5 + skew,
+                          track.mint(), root};
+    Span outer{"outer_iteration", 2.0e-6 + skew, 3.0e-5 + skew, track.mint(),
+               rank_solve.span_id};
+    outer.args = {{{"iteration", 3.0}, {"rnorm", 0.125}}};
+    track.push(rank_solve);
+    track.push(outer);
+    for (Span s : kernels.rank(r).spans()) {
+      s.start = (s.start - skew) + skew;
+      s.end = (s.end - skew) + skew;
+      s.span_id = track.mint();
+      s.parent_span_id = rank_solve.span_id;
+      track.push(s);
+    }
   }
-  trace.add_profile(profile, roots);
 
-  TraceSpan queue_wait;
-  queue_wait.name = "queue_wait";
-  queue_wait.span_id = svc.mint();
-  queue_wait.parent_span_id = root;
-  queue_wait.start = 0.0;
-  queue_wait.end = 1.0e-6;
-  queue_wait.args = {{"column", 0.0}, {"column_trace_id", 7.0}};
-  svc.push(std::move(queue_wait));
-  TraceSpan request;
-  request.name = "request";
-  request.span_id = root;
-  request.start = 0.0;
-  request.end = 4.0e-5;
-  request.args = {{"columns", 1.0}, {"failed", 0.0}};
-  svc.push(std::move(request));
+  Span queue_wait{"queue_wait", 0.0, 1.0e-6, svc.mint(), root};
+  queue_wait.args = {{{"column", 0.0}, {"column_trace_id", 7.0}}};
+  svc.push(queue_wait);
+  Span request{"request", 0.0, 4.0e-5, root, 0};
+  request.args = {{{"columns", 1.0}, {"failed", 0.0}}};
+  svc.push(request);
 
-  EXPECT_EQ(trace.rank_ring(0).dropped(), 6u);
+  EXPECT_EQ(trace.rank(0).ring().dropped(), 6u);
   const std::string actual = canonical(tracing::merge_trace(trace)).dump(2);
   const std::string expected =
       std::string(kMergedTracePin).empty()

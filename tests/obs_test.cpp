@@ -111,7 +111,6 @@ TEST(ProfilerTest, SpanScopeRecordsAndNullIsNoop) {
 }
 
 TEST(ProfilerTest, InstallIsThreadLocalAndRestores) {
-#if !defined(PIPESCG_DISABLE_PROFILING)
   Profiler p(0, Profiler::Clock::now());
   EXPECT_EQ(Profiler::current(), nullptr);
   {
@@ -123,7 +122,6 @@ TEST(ProfilerTest, InstallIsThreadLocalAndRestores) {
     EXPECT_EQ(seen, nullptr);
   }
   EXPECT_EQ(Profiler::current(), nullptr);
-#endif
 }
 
 TEST(ProfilerTest, AggregateIsMinMedianMaxOverRanks) {

@@ -5,9 +5,12 @@
 #include <atomic>
 #include <cmath>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "pipescg/base/error.hpp"
+#include "pipescg/obs/profiler.hpp"
 #include "pipescg/par/comm.hpp"
 
 namespace pipescg::par {
@@ -224,6 +227,33 @@ TEST(WatchdogTest, TimeoutCarriesRankAndStateDump) {
     const std::string what = e.what();
     EXPECT_NE(what.find("barrier"), std::string::npos) << what;
     EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+  }
+}
+
+TEST(WatchdogTest, TimeoutDumpsTheInstalledRecorder) {
+  const ScopedWatchdog watchdog(250.0);
+  // Capacity 1: the dump counts every recorded span, evicted ones included.
+  obs::SolveProfile profile(2, /*capacity=*/1);
+  try {
+    Team::run(2, [&](Comm& comm) {
+      obs::Profiler& prof = profile.rank(comm.rank());
+      const obs::Profiler::Install install(&prof);
+      const double v = 1.0;
+      double out = 0.0;
+      // Records an allreduce_post and an allreduce_wait_blocking span.
+      comm.allreduce_sum(std::span<const double>(&v, 1),
+                         std::span<double>(&out, 1));
+      prof.counters().iterations = 7;
+      if (comm.rank() == 1) return;
+      comm.barrier();
+    });
+    FAIL() << "expected CommTimeout";
+  } catch (const CommTimeout& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("iterations=7"), std::string::npos) << what;
+    EXPECT_NE(what.find("spans=2"), std::string::npos) << what;
+    EXPECT_NE(what.find("last=allreduce_wait_blocking"), std::string::npos)
+        << what;
   }
 }
 

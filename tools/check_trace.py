@@ -8,9 +8,10 @@ Checks, per trace file:
     the "service" track when --expect-ranks is given;
   * every "X" (complete) event carries args.trace_id equal to the file's
     trace_id, a unique args.span_id, and an args.parent_span_id;
-  * spans nest: a span whose parent is present in the file lies within its
-    parent's [ts, ts + dur] interval (same-ring spans nest exactly; a small
-    epsilon absorbs microsecond rounding in the export).
+  * no span is orphaned: every args.parent_span_id is 0 (the root) or the
+    span_id of a span in the same file;
+  * spans nest: a span lies within its parent's [ts, ts + dur] interval (a
+    small epsilon absorbs microsecond rounding in the export).
 
 With --alerts, additionally validates the JSONL alert stream:
   * --expect-no-straggler: no straggler alert at all (clean-run smoke);
@@ -101,8 +102,13 @@ def check_trace(path, expect_ranks, errors):
                  f"(have {sorted(got)})")
 
     for span_id, (_, start, end, name, parent) in spans.items():
-        if parent == 0 or parent not in spans:
-            continue  # root, or parent evicted from its ring
+        if parent == 0:
+            continue  # root
+        if parent not in spans:
+            fail(errors, path,
+                 f"span {span_id} ({name!r}) has parent {parent}, which is "
+                 f"not in the file")
+            continue
         _, pstart, pend, pname, _ = spans[parent]
         if start < pstart - NEST_EPS_US or end > pend + NEST_EPS_US:
             fail(errors, path,
