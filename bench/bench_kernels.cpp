@@ -423,9 +423,10 @@ int run_bench_json(const std::string& path) {
   spmv_pair(kernels, "thermal2", sparse::make_thermal2_like(192, 192));
 
   // Fused vs unfused dot batch: 18 pairs (a PIPE-PsCG s=3 outer batch) over
-  // 2^21-double vectors (a 300 MB ring, past any LLC) -- the unfused path
+  // 2^21-double vectors (a 300 MB ring, past most LLCs) -- the unfused path
   // pays one DRAM stream per pair while the fused path re-uses each
-  // cache-resident block across all pairs.
+  // cache-resident block across all pairs and runs the pairs of a group as
+  // independent add chains.
   {
     const std::size_t n = std::size_t{1} << 21;
     const std::size_t pairs_n = 18;
@@ -474,6 +475,47 @@ int run_bench_json(const std::string& path) {
                 to_gbs(bytes, t_fused), to_gbs(bytes, t_unfused),
                 t_fused > 0.0 ? t_unfused / t_fused : 0.0, pairs_n,
                 std::size_t{1});
+  }
+
+  // The same batch cache-resident: the s = 3 preconditioned layout
+  // (build_dot_pairs: 18 pairs over 11 vectors) at 45,000 doubles, one
+  // ecology2 rank.  Memory is no bound here, so this is the add-latency
+  // side: unfused, each pair is one dependent chain of 45,000 additions;
+  // fused, a group's pairs are independent chains the core overlaps.
+  {
+    const std::size_t n = 45000;
+    const std::size_t s = 3;
+    krylov::VecBlock w(s + 1, krylov::Vec(n)), v(s + 1, krylov::Vec(n)),
+        ap(s, krylov::Vec(n));
+    double fill = 1.0;
+    for (krylov::VecBlock* block : {&w, &v, &ap})
+      for (krylov::Vec& vec : *block) {
+        for (std::size_t i = 0; i < n; ++i)
+          vec[i] = 1.0 / (fill + static_cast<double>(i));
+        fill += 1.0;
+      }
+    std::vector<krylov::DotPair> pairs;
+    krylov::sstep::build_dot_pairs(krylov::sstep::DotLayout{3, true}, w, v,
+                                   ap, pairs);
+    std::vector<la::DotView> views;
+    for (const krylov::DotPair& p : pairs)
+      views.push_back(la::DotView{p.x->data(), p.y->data()});
+    std::vector<double> out(views.size());
+    double t_fused, t_unfused;
+    {
+      const la::FusedKernelsGuard guard(true);
+      t_fused = seconds_per_call([&] { la::dot_batch(views, n, out); });
+    }
+    {
+      const la::FusedKernelsGuard guard(false);
+      t_unfused = seconds_per_call([&] { la::dot_batch(views, n, out); });
+    }
+    kernels.set("dot_resident_fused_speedup",
+                t_fused > 0.0 ? t_unfused / t_fused : 0.0);
+    std::printf("  dot resident fused %7.1f us  unfused %7.1f us  "
+                "speedup %5.2fx  (%zu pairs, n = %zu)\n",
+                t_fused * 1e6, t_unfused * 1e6,
+                t_fused > 0.0 ? t_unfused / t_fused : 0.0, views.size(), n);
   }
 
   // Fused vs unfused basis step (the shifted-basis epilogue): one pass over

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "pipescg/base/error.hpp"
+#include "pipescg/obs/profiler.hpp"
 
 namespace pipescg::krylov {
 
@@ -29,6 +30,8 @@ namespace detail {
 
 std::vector<double> compute_b_norm(Engine& engine, std::span<const Vec> bs,
                                    NormType norm) {
+  // Every driver starts here, so this is where a rank's solve begins.
+  if (obs::Profiler* prof = obs::Profiler::current()) prof->begin_solve();
   const bool plain =
       norm == NormType::kUnpreconditioned || !engine.has_preconditioner();
   std::vector<Vec> us;  // PC images, one per column when not plain

@@ -163,7 +163,8 @@ namespace detail {
 /// sqrt(b^T M^{-1} b) for the natural norm), so rtol means the same thing
 /// across flavors.  One entry per right-hand side of `bs`, from one fused
 /// setup dot batch (plus one PC application per column for the
-/// preconditioned/natural flavors).
+/// preconditioned/natural flavors).  Every driver calls it first, so it also
+/// marks the solve's start on the rank's obs::Profiler (begin_solve).
 std::vector<double> compute_b_norm(Engine& engine, std::span<const Vec> bs,
                                    NormType norm);
 

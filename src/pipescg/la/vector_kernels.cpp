@@ -20,12 +20,58 @@ constexpr std::size_t kProgramBlock = 512;
 
 std::atomic<bool> g_fused{true};
 
-// acc + sum_i x[i] y[i], added in index order: the reduction that stays
-// scalar under the SIMD contract.
-double dot_acc(double acc, const double* __restrict__ x,
-               const double* __restrict__ y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc += x[i] * y[i];
-  return acc;
+// Pairs summed together in one loop of the fused dot batch.  Each is an
+// independent add chain, so the core overlaps their additions instead of
+// waiting out one add's latency per element; 6 pairs' 12 streams still fit
+// the general registers.
+constexpr std::size_t kDotGroup = 6;
+
+// out[g] += sum_i pairs[g].x[i0 + i] * pairs[g].y[i0 + i] over [0, n) for
+// the kPairs pairs of one group: each pair's sum in its own register, added
+// in element order -- the reduction that stays scalar under the SIMD
+// contract.  The chains never mix, so each partial is bitwise the pair's
+// own full-length loop.
+//
+// The pair loop is unrolled so the accumulators live in registers.  Left
+// alone, GCC then packs two pairs' accumulators into one addpd (the loop
+// vectorizer's reduction groups, or SLP after it).  Each lane would be a
+// different pair, so that is bitwise too, but tools/check_simd.py cannot
+// tell such a sum from a reassociated one in object code, so both passes
+// are off here.  An empty asm pinning each accumulator to its register
+// also keeps the adds scalar, but runs the 18-pair batch half as fast.
+template <std::size_t kPairs>
+[[gnu::optimize("no-tree-loop-vectorize", "no-tree-slp-vectorize")]]
+void dot_batch_group(const DotView* pairs, std::size_t i0, std::size_t n,
+                     double* out) {
+  const double* x[kPairs];
+  const double* y[kPairs];
+  double acc[kPairs];
+  for (std::size_t g = 0; g < kPairs; ++g) {
+    x[g] = pairs[g].x + i0;
+    y[g] = pairs[g].y + i0;
+    acc[g] = out[g];
+  }
+  for (std::size_t i = 0; i < n; ++i)
+#pragma GCC unroll 8
+    for (std::size_t g = 0; g < kPairs; ++g) acc[g] += x[g][i] * y[g][i];
+  for (std::size_t g = 0; g < kPairs; ++g) out[g] = acc[g];
+}
+
+// Every pair over [i0, i0 + n): full groups of kDotGroup, then one smaller
+// compile-time shape for the rest.
+void dot_batch_block(std::span<const DotView> pairs, std::size_t i0,
+                     std::size_t n, double* out) {
+  std::size_t p = 0;
+  for (; p + kDotGroup <= pairs.size(); p += kDotGroup)
+    dot_batch_group<kDotGroup>(&pairs[p], i0, n, out + p);
+  switch (pairs.size() - p) {
+    case 1: dot_batch_group<1>(&pairs[p], i0, n, out + p); break;
+    case 2: dot_batch_group<2>(&pairs[p], i0, n, out + p); break;
+    case 3: dot_batch_group<3>(&pairs[p], i0, n, out + p); break;
+    case 4: dot_batch_group<4>(&pairs[p], i0, n, out + p); break;
+    case 5: dot_batch_group<5>(&pairs[p], i0, n, out + p); break;
+    default: break;
+  }
 }
 
 // Where an element's sum starts: +0.0, base[i], or dst[i] itself.
@@ -120,20 +166,21 @@ void dot_batch(std::span<const DotView> pairs, std::size_t n,
   PIPESCG_CHECK(out.size() >= pairs.size(), "dot_batch output too small");
   KernelStats& stats = kernel_stats();
   ++stats.dot_batches;
+  const bool fused = fused_kernels_enabled();
+  stats.dot_sweeps += fused ? 1 : pairs.size();
+  for (std::size_t p = 0; p < pairs.size(); ++p) out[p] = 0.0;
+  if (!fused) {
+    // The reference: one full-length sweep per pair.
+    for (std::size_t p = 0; p < pairs.size(); ++p)
+      dot_batch_group<1>(&pairs[p], 0, n, &out[p]);
+    return;
+  }
   // Iterate blocks outermost so every pair reads the block while it is
   // cache-resident -- one pass over the working set for the whole batch.
   // Each pair's accumulator is carried across blocks in out[p], so its
-  // additions happen in the order of its own full-length loop.  The unfused
-  // reference is the same code over one full-length block: a sweep per pair.
-  const bool fused = fused_kernels_enabled();
-  stats.dot_sweeps += fused ? 1 : pairs.size();
-  const std::size_t block = fused ? kDotBlock : n;
-  for (std::size_t p = 0; p < pairs.size(); ++p) out[p] = 0.0;
-  for (std::size_t i0 = 0; i0 < n; i0 += block) {
-    const std::size_t len = std::min(block, n - i0);
-    for (std::size_t p = 0; p < pairs.size(); ++p)
-      out[p] = dot_acc(out[p], pairs[p].x + i0, pairs[p].y + i0, len);
-  }
+  // additions happen in the order of its own full-length loop.
+  for (std::size_t i0 = 0; i0 < n; i0 += kDotBlock)
+    dot_batch_block(pairs, i0, std::min(kDotBlock, n - i0), out.data());
 }
 
 void axpy(double* y, double a, const double* x, std::size_t n) {

@@ -8,7 +8,12 @@
 // whole-vector calls per PIPE-PsCG outer iteration).  The kernels here make
 // each ONE pass:
 //   * dot_batch       -- i-blocked so the working set stays cache-resident
-//                        across pairs: one memory pass per batch;
+//                        across pairs: one memory pass per batch.  Within
+//                        a block the pairs run in groups of six, each in
+//                        its own register accumulator: a lone pair is one
+//                        dependent add chain, bound by add latency on a
+//                        cache-resident rank, and a group's chains are
+//                        independent, so the core overlaps them;
 //   * lincomb_program -- an ordered list of lincombs
 //                        dst = start + sum_k c_k x_k run block by block
 //                        (every op on an L2-sized block before the next
@@ -89,8 +94,10 @@ struct DotView {
 
 /// out[p] = sum_i pairs[p].x[i] * pairs[p].y[i] for i in [0, n).  Fused:
 /// one i-blocked pass (per-pair accumulators carried across blocks, so each
-/// pair's additions happen in the exact order of its own full-length loop).
-/// Unfused: one full sweep per pair.  Bitwise-identical results either way.
+/// pair's additions happen in the exact order of its own full-length loop),
+/// summing groups of pairs in one loop as independent chains.  Unfused: one
+/// full sweep per pair.  Bitwise-identical results either way: chains never
+/// mix, and each adds its products in element order from +0.0.
 void dot_batch(std::span<const DotView> pairs, std::size_t n,
                std::span<double> out);
 

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <sstream>
-#include <utility>
 
 #include "pipescg/base/error.hpp"
 
@@ -94,7 +93,9 @@ std::uint64_t Profiler::mark(const char* name,
 
 void Profiler::checkpoint(std::uint64_t iteration, double rnorm) {
   const double t = now();
-  record("outer_iteration", std::exchange(last_checkpoint_, t), t,
+  const double start = last_checkpoint_ < 0.0 ? t : last_checkpoint_;
+  last_checkpoint_ = t;
+  record("outer_iteration", start, t,
          {{"iteration", static_cast<double>(iteration)}, {"rnorm", rnorm}});
 }
 

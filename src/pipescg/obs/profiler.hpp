@@ -197,6 +197,7 @@ class Profiler : public ThreadSlot<Profiler> {
 
   /// Record a kernel span under the innermost open scope.
   void record(SpanKind kind, double start, double end) {
+    if (last_checkpoint_ < 0.0) last_checkpoint_ = start;
     histograms_[static_cast<std::size_t>(kind)].add(end - start);
     ring_.push(to_string(kind), start, end, mint(), current_parent(), kind);
   }
@@ -211,8 +212,14 @@ class Profiler : public ThreadSlot<Profiler> {
 
   /// Called by obs::checkpoint at every outer iteration: records an
   /// `outer_iteration` span covering the time since the previous checkpoint
-  /// (or since the innermost scope opened), with iteration and rnorm args.
+  /// (or since the innermost scope opened, or since the solve's first
+  /// kernel span), with iteration and rnorm args.
   void checkpoint(std::uint64_t iteration, double rnorm);
+
+  /// A solve starts on this track: its first `outer_iteration` span starts
+  /// with its first kernel span, not at the recording epoch (thread start
+  /// and engine setup) or at an earlier solve's last checkpoint.
+  void begin_solve() { last_checkpoint_ = kNoCheckpoint; }
 
   /// Every span of `kind` recorded so far, as a latency distribution.
   const LatencyHistogram& histogram(SpanKind kind) const {
@@ -291,7 +298,10 @@ class Profiler : public ThreadSlot<Profiler> {
   Ring<Span> ring_;
   std::vector<std::uint64_t> parents_;
   std::uint64_t next_seq_ = 0;
-  double last_checkpoint_ = 0.0;
+  // Where the next outer_iteration span starts; kNoCheckpoint until a
+  // kernel span or a named scope anchors it.
+  static constexpr double kNoCheckpoint = -1.0;
+  double last_checkpoint_ = kNoCheckpoint;
   std::array<LatencyHistogram, kSpanKindCount> histograms_;
   LatencyHistogram halo_exchange_histogram_;
   Counters counters_;

@@ -16,12 +16,14 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "pipescg/krylov/basis.hpp"
 #include "pipescg/krylov/registry.hpp"
 #include "pipescg/krylov/serial_engine.hpp"
 #include "pipescg/krylov/solver.hpp"
+#include "pipescg/krylov/sstep_common.hpp"
 #include "pipescg/la/vector_kernels.hpp"
 #include "pipescg/par/comm.hpp"
 #include "pipescg/precond/jacobi.hpp"
@@ -188,27 +190,99 @@ INSTANTIATE_TEST_SUITE_P(Ranks, SellFormatRankTest, ::testing::Values(1, 2, 3));
 
 // --- fused BLAS-1 kernels ----------------------------------------------
 
-// dot_batch fused vs unfused, at lengths that leave a ragged tail block
-// (kDotBlock is 2048) and pair counts covering one full s-step batch.
+// The dot batch an s = 3 preconditioned monomial outer iteration posts
+// (build_dot_pairs: 7 moments, 9 cross pairs, (r, r) and (u, u) -- pairs
+// that share operands, two with x == y) over 11 vectors of length n, plus
+// two more pairs so 20 pairs run every group tail.
+struct DotBatchFixture {
+  krylov::VecBlock w, v, ap;
+  std::vector<la::DotView> views;
+
+  explicit DotBatchFixture(std::size_t n) {
+    const std::size_t s = 3;
+    unsigned seed = 100;
+    for (krylov::VecBlock* block : {&w, &v, &ap}) {
+      block->resize(block == &ap ? s : s + 1, krylov::Vec(n));
+      for (krylov::Vec& vec : *block) {
+        const std::vector<double> r = random_vector(n, seed++);
+        std::copy(r.begin(), r.end(), vec.data());
+      }
+    }
+    std::vector<krylov::DotPair> pairs;
+    krylov::sstep::build_dot_pairs(krylov::sstep::DotLayout{3, true}, w, v, ap, pairs);
+    pairs.push_back(krylov::DotPair{&ap[2], &ap[2]});
+    pairs.push_back(krylov::DotPair{&w[3], &ap[0]});
+    for (const krylov::DotPair& p : pairs)
+      views.push_back(la::DotView{p.x->data(), p.y->data()});
+  }
+};
+
+// Each pair's sum in element order, one pair at a time.
+std::vector<double> scalar_dots(std::span<const la::DotView> views,
+                                std::size_t n) {
+  std::vector<double> out(views.size(), 0.0);
+  for (std::size_t p = 0; p < views.size(); ++p)
+    for (std::size_t i = 0; i < n; ++i) out[p] += views[p].x[i] * views[p].y[i];
+  return out;
+}
+
+// dot_batch fused vs unfused vs the scalar loop, bitwise: every pair count
+// from 1 to 20 (every group tail), at lengths around the 2048-double block
+// edge, one ecology2 rank's 45,000, and the empty batch.  Fused is one
+// sweep per batch, unfused one per pair.
 TEST(FusedKernelsTest, DotBatchBitwiseMatchesUnfused) {
-  for (const std::size_t n : {1u, 7u, 2048u, 5000u, 100000u}) {
-    for (const std::size_t pairs_n : {1u, 2u, 7u, 18u}) {
-      std::vector<std::vector<double>> store(pairs_n + 1);
-      for (std::size_t v = 0; v < store.size(); ++v)
-        store[v] = random_vector(n, static_cast<unsigned>(100 + v));
-      std::vector<la::DotView> views;
-      for (std::size_t pr = 0; pr < pairs_n; ++pr)
-        views.push_back(la::DotView{store[pr].data(), store[pr + 1].data()});
-      std::vector<double> fused(pairs_n), unfused(pairs_n);
+  la::KernelStats& stats = la::kernel_stats();
+  for (const std::size_t n : {0u, 1u, 7u, 2047u, 2048u, 2049u, 45000u}) {
+    const DotBatchFixture fx(n);
+    ASSERT_EQ(fx.views.size(), 20u);
+    for (std::size_t pairs_n = 1; pairs_n <= fx.views.size(); ++pairs_n) {
+      const std::span<const la::DotView> views(fx.views.data(), pairs_n);
+      std::vector<double> fused(pairs_n, -1.0), unfused(pairs_n, -1.0);
       {
         const la::FusedKernelsGuard guard(true);
+        stats.reset();
         la::dot_batch(views, n, fused);
+        EXPECT_EQ(stats.dot_sweeps, 1u);
       }
       {
         const la::FusedKernelsGuard guard(false);
+        stats.reset();
         la::dot_batch(views, n, unfused);
+        EXPECT_EQ(stats.dot_sweeps, pairs_n);
       }
-      expect_bitwise(fused, unfused, "dot batch");
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " pairs=" + std::to_string(pairs_n));
+      expect_bitwise(fused, unfused, "dot batch fused vs unfused");
+      expect_bitwise(fused, scalar_dots(views, n), "dot batch vs scalar");
+    }
+  }
+}
+
+// A NaN in one pair's operand reaches that pair's slot and no other: the
+// groups' add chains never mix.  Checked at every position of the 20-pair
+// batch, so in every group and tail shape.
+TEST(FusedKernelsTest, DotBatchNanStaysInItsPair) {
+  for (const std::size_t n : {2049u, 45000u}) {
+    const DotBatchFixture fx(n);
+    std::vector<double> clean(fx.views.size());
+    la::dot_batch(fx.views, n, clean);
+    for (std::size_t bad = 0; bad < fx.views.size(); ++bad) {
+      // A private copy of the pair's x, so no other pair reads the NaN.
+      std::vector<double> poisoned(fx.views[bad].x, fx.views[bad].x + n);
+      poisoned[n / 2] = std::numeric_limits<double>::quiet_NaN();
+      std::vector<la::DotView> views = fx.views;
+      views[bad].x = poisoned.data();
+      std::vector<double> out(views.size());
+      la::dot_batch(views, n, out);
+      for (std::size_t p = 0; p < out.size(); ++p) {
+        if (p == bad) {
+          EXPECT_TRUE(std::isnan(out[p])) << "n=" << n << " pair " << p;
+        } else {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(out[p]),
+                    std::bit_cast<std::uint64_t>(clean[p]))
+              << "n=" << n << " NaN in pair " << bad << " reached pair " << p;
+        }
+      }
     }
   }
 }

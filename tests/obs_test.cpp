@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <string_view>
 #include <thread>
 
 #include "pipescg/krylov/registry.hpp"
@@ -661,6 +662,71 @@ TEST(CounterParityTest, SpmdRunRecordsCommAndSpmvSpans) {
         SpanKind::kHaloClose, SpanKind::kPcApply, SpanKind::kDotLocal,
         SpanKind::kAllreducePost, SpanKind::kAllreduceWaitNonblocking}) {
     EXPECT_GT(profile.aggregate(kind).count, 0u) << to_string(kind);
+  }
+}
+
+// An offline profile opens no scope around the solve, so each rank's first
+// outer_iteration span must start with the solve itself: never at the
+// recording epoch (thread start, engine setup) and never before the rank's
+// first kernel span.  With a setup SPMV before the solve (b = A 1, as
+// runtime_tour builds it), the span starts after that SPMV too.
+TEST(ProfilerTest, FirstCheckpointSpanStartsWithTheSolve) {
+  const sparse::CsrMatrix a =
+      sparse::assemble_stencil2d(sparse::stencil_poisson5(), 12, 12, "p");
+  krylov::SolverOptions opts;
+  opts.rtol = 1e-8;
+  const sparse::Partition part(a.rows(), 2);
+  for (const bool setup_spmv : {false, true}) {
+    SolveProfile profile(2);
+    par::Team::run(2, [&](par::Comm& comm) {
+      const sparse::DistCsr dist(a, part, comm.rank());
+      const std::size_t begin = part.begin(comm.rank());
+      const std::size_t len = part.local_size(comm.rank());
+      const std::vector<double> full_diag = a.diagonal();
+      std::vector<double> local_diag(
+          full_diag.begin() + static_cast<std::ptrdiff_t>(begin),
+          full_diag.begin() + static_cast<std::ptrdiff_t>(begin + len));
+      precond::JacobiPreconditioner local_pc(std::move(local_diag),
+                                             a.stats());
+      krylov::SpmdEngine engine(comm, dist, &local_pc,
+                                &profile.rank(comm.rank()));
+      krylov::Vec ones = engine.new_vec();
+      for (std::size_t i = 0; i < ones.size(); ++i) ones[i] = 1.0;
+      krylov::Vec b = engine.new_vec();
+      if (setup_spmv)
+        engine.apply_op(ones, b);
+      else
+        b = ones;
+      krylov::Vec x = engine.new_vec();
+      krylov::make_solver("pipe-pscg")->solve(engine, b, x, opts);
+    });
+    for (int r = 0; r < 2; ++r) {
+      const std::vector<Span> spans = profile.rank(r).spans();
+      const Span* first_iteration = nullptr;
+      const Span* first_kernel = nullptr;
+      const Span* first_spmv = nullptr;
+      for (const Span& s : spans) {
+        if (s.is_kernel() && (first_kernel == nullptr ||
+                              s.start < first_kernel->start))
+          first_kernel = &s;
+        if (s.kind == SpanKind::kSpmvLocal &&
+            (first_spmv == nullptr || s.start < first_spmv->start))
+          first_spmv = &s;
+        if (first_iteration == nullptr &&
+            std::string_view(s.name) == "outer_iteration")
+          first_iteration = &s;
+      }
+      ASSERT_NE(first_iteration, nullptr) << "rank " << r;
+      ASSERT_NE(first_kernel, nullptr) << "rank " << r;
+      EXPECT_GE(first_iteration->start, first_kernel->start)
+          << "rank " << r << (setup_spmv ? " with" : " without")
+          << " a setup SPMV";
+      EXPECT_GT(first_iteration->start, 0.0) << "rank " << r;
+      if (setup_spmv) {
+        ASSERT_NE(first_spmv, nullptr);
+        EXPECT_GE(first_iteration->start, first_spmv->end) << "rank " << r;
+      }
+    }
   }
 }
 

@@ -14,10 +14,11 @@ and checks:
   * lincomb, lincomb_program and shift_combine contain packed-double
     arithmetic (a kernel counts with its <name>_* family: lincomb runs in
     the lincomb_program executor that carries the sweeps);
-  * dot_batch adds with scalar instructions and contains no packed-double
-    addition: its sums stay in the scalar loop's order.  A packed multiply there is allowed -- it is GCC's
-    in-order reduction, which multiplies element-wise and still adds the
-    products one at a time;
+  * dot_batch and its dot_batch_* helpers (the per-group add chains) add
+    with scalar instructions and contain no packed-double addition: each
+    sum stays in the scalar loop's order.  A packed multiply there is
+    allowed -- it is GCC's in-order reduction, which multiplies element-wise
+    and still adds the products one at a time;
   * no fused multiply-add anywhere (FMA contraction changes rounding).
 
 Exits non-zero, naming each violation, when any check fails.
@@ -61,7 +62,10 @@ def disassemble(path):
     for line in text.splitlines():
         m = FUNC.match(line)
         if m:
-            current = funcs.setdefault(m.group(1).split("(")[0], [])
+            # A template's demangled name leads with its return type.
+            name = m.group(1).replace("(anonymous namespace)::", "")
+            name = name[max(name.find("pipescg::"), 0):].split("(")[0]
+            current = funcs.setdefault(name, [])
             continue
         parts = line.split("\t")
         if current is not None and len(parts) >= 2 and parts[1].strip():
@@ -71,18 +75,19 @@ def disassemble(path):
 
 def kernel(funcs, name):
     """Instructions of pipescg::la::<name> and its <name>_* family, internal
-    helpers in the anonymous namespace included."""
+    helpers in the anonymous namespace included (disassemble() drops the
+    namespace from their names)."""
     qual = "pipescg::la::" + name
     return [op for f, ops in funcs.items()
-            for g in [f.replace("(anonymous namespace)::", "")]
-            if g == qual or g.startswith(qual + "_") for op in ops]
+            if f == qual or f.startswith(qual + "_") for op in ops]
 
 
 def main(argv):
     build_dir = argv[0] if argv else "build"
     funcs = {}
     for path in find_objects(build_dir):
-        funcs.update(disassemble(path))
+        for name, ops in disassemble(path).items():
+            funcs.setdefault(name, []).extend(ops)
     errors = []
     for name in VECTORIZED:
         ops = kernel(funcs, name)
