@@ -9,9 +9,9 @@
 // Two entry modes:
 //   * default             -- google-benchmark over everything registered;
 //   * --bench-json PATH   -- a fixed steady_clock harness over the hot-kernel
-//                            pairs (CSR vs SELL per matrix family, fused vs
-//                            unfused dot batch, basis step and s-step outer
-//                            update), written as
+//                            pairs (CSR vs SELL per matrix family, DistCsr
+//                            build rate, fused vs unfused dot batch, basis
+//                            step and s-step outer update), written as
 //                            BENCH_kernels.json with every measured number
 //                            under ratios.kernels.* so tools/diff_reports.py
 //                            and tools/perf_trajectory.py gate and track them
@@ -412,6 +412,25 @@ void spmv_pair(obs::json::Value& kernels, const std::string& label,
               sell.padding_ratio());
 }
 
+// One DistCsr build rate: the bytes one apply of the built slices streams
+// (their bytes_per_apply, summed over a 2-rank partition) over the seconds
+// both ranks' constructors take.  An SPMV's GB/s over this rate is how many
+// applies one build costs, so the pair of keys tells whether a format's
+// setup is repaid within a solve.
+void setup_rate(obs::json::Value& kernels, const std::string& key,
+                const sparse::CsrMatrix& a, sparse::SparseFormat format) {
+  const sparse::Partition part(a.rows(), 2);
+  std::size_t bytes = 0;
+  const double t = seconds_per_call([&] {
+    bytes = 0;
+    for (int r = 0; r < part.ranks(); ++r)
+      bytes += sparse::DistCsr(a, part, r, format).bytes_per_apply();
+  });
+  kernels.set(key, to_gbs(static_cast<double>(bytes), t));
+  std::printf("  %-32s %7.2f GB/s  (%.2f ms per 2-rank build)\n", key.c_str(),
+              to_gbs(static_cast<double>(bytes), t), 1e3 * t);
+}
+
 int run_bench_json(const std::string& path) {
   obs::json::Value kernels = obs::json::Value::object();
   std::printf("kernel harness (--bench-json): CSR vs SELL\n");
@@ -421,6 +440,16 @@ int run_bench_json(const std::string& path) {
   spmv_pair(kernels, "poisson125", sparse::make_poisson125_csr(16));
   spmv_pair(kernels, "ecology2", sparse::make_ecology2_like(192, 192));
   spmv_pair(kernels, "thermal2", sparse::make_thermal2_like(192, 192));
+
+  // Setup: how fast a 2-rank partition's DistCsr slices are built, CSR and
+  // SELL.
+  {
+    const sparse::CsrMatrix a = sparse::make_poisson125_csr(24);
+    setup_rate(kernels, "setup_dist_csr_gbs_poisson125", a,
+               sparse::SparseFormat::kCsr);
+    setup_rate(kernels, "setup_dist_sell_gbs_poisson125", a,
+               sparse::SparseFormat::kSell);
+  }
 
   // Fused vs unfused dot batch: 18 pairs (a PIPE-PsCG s=3 outer batch) over
   // 2^21-double vectors (a 300 MB ring, past most LLCs) -- the unfused path

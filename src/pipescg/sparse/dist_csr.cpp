@@ -1,11 +1,11 @@
 #include "pipescg/sparse/dist_csr.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "pipescg/base/error.hpp"
 #include "pipescg/obs/profiler.hpp"
 #include "pipescg/sparse/bytes_model.hpp"
+#include "pipescg/sparse/halo_plan.hpp"
 
 namespace pipescg::sparse {
 
@@ -18,80 +18,29 @@ DistCsr::DistCsr(const CsrMatrix& global, const Partition& partition, int rank,
                 "partition size mismatch");
   PIPESCG_CHECK(rank >= 0 && rank < partition.ranks(), "rank out of range");
 
-  const std::size_t row_begin = partition.begin(rank);
-  const std::size_t row_end = partition.end(rank);
-  const std::size_t nlocal = row_end - row_begin;
+  const par::RankRange own = partition.range(rank);
+  const std::size_t nlocal = own.size();
 
-  // Pass 1: collect ghost column ids (owned by other ranks).
-  const auto rp = global.row_ptr();
+  // Pass 1: collect ghost column ids -- the entries outside the owned run.
   const auto ci = global.col_indices();
-  const auto vals = global.values();
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    for (auto k = rp[i]; k < rp[i + 1]; ++k) {
-      const std::size_t col =
-          static_cast<std::size_t>(ci[static_cast<std::size_t>(k)]);
-      if (col < row_begin || col >= row_end) ghost_globals_.push_back(col);
-    }
+  for (std::size_t i = own.begin; i < own.end; ++i) {
+    const OwnerOrder order = owner_order(global, i, own);
+    for (std::size_t r = 1; r < order.runs.size(); ++r)
+      for (auto k = order.runs[r].first; k < order.runs[r].last; ++k)
+        ghost_globals_.push_back(
+            static_cast<std::size_t>(ci[static_cast<std::size_t>(k)]));
   }
   std::sort(ghost_globals_.begin(), ghost_globals_.end());
   ghost_globals_.erase(
       std::unique(ghost_globals_.begin(), ghost_globals_.end()),
       ghost_globals_.end());
 
-  // Pass 2: build the remapped local CSR.  Ghost lookups binary-search the
-  // sorted ghost list directly instead of materializing a std::map (the map
-  // dominated construction time on stencil-like matrices: one red-black-tree
-  // node per ghost plus a log-n pointer chase per nonzero).
-  std::vector<CsrMatrix::Index> lrp(nlocal + 1, 0);
-  std::vector<CsrMatrix::Index> lci;
-  std::vector<double> lv;
-  // Owned columns map to col - row_begin, ghosts to nlocal + ghost index.
-  // Global order within a row is not monotone under this map, so collect
-  // and sort pairs; the scratch vector is hoisted out of the row loop.
-  std::vector<std::pair<CsrMatrix::Index, double>> row_entries;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    row_entries.clear();
-    for (auto k = rp[i]; k < rp[i + 1]; ++k) {
-      const std::size_t col =
-          static_cast<std::size_t>(ci[static_cast<std::size_t>(k)]);
-      CsrMatrix::Index mapped;
-      if (col >= row_begin && col < row_end) {
-        mapped = static_cast<CsrMatrix::Index>(col - row_begin);
-      } else {
-        const auto it = std::lower_bound(ghost_globals_.begin(),
-                                         ghost_globals_.end(), col);
-        mapped = static_cast<CsrMatrix::Index>(
-            nlocal + static_cast<std::size_t>(it - ghost_globals_.begin()));
-      }
-      row_entries.emplace_back(mapped, vals[static_cast<std::size_t>(k)]);
-    }
-    std::sort(row_entries.begin(), row_entries.end());
-    for (const auto& [c, v] : row_entries) {
-      lci.push_back(c);
-      lv.push_back(v);
-    }
-    lrp[i - row_begin + 1] = static_cast<CsrMatrix::Index>(lci.size());
-  }
-  local_ = CsrMatrix(nlocal, nlocal + ghost_globals_.size(), std::move(lrp),
-                     std::move(lci), std::move(lv),
-                     global.name() + "_rank" + std::to_string(rank));
+  // Pass 2: the remapped local CSR.
+  local_ = remapped_slice(global, own, ghost_globals_,
+                          global.name() + "_rank" + std::to_string(rank));
 
-  // Pass 3: coalesce ghosts into per-owner contiguous runs -- the persistent
-  // pull list replayed by every halo exchange.
-  std::size_t g = 0;
-  while (g < ghost_globals_.size()) {
-    const int owner = partition.owner(ghost_globals_[g]);
-    const std::size_t owner_begin = partition.begin(owner);
-    std::size_t len = 1;
-    while (g + len < ghost_globals_.size() &&
-           ghost_globals_[g + len] == ghost_globals_[g] + len &&
-           partition.owner(ghost_globals_[g + len]) == owner) {
-      ++len;
-    }
-    pulls_.push_back(
-        par::GhostPull{owner, ghost_globals_[g] - owner_begin, g, len});
-    g += len;
-  }
+  // Pass 3: the persistent pull list replayed by every halo exchange.
+  pulls_ = coalesce_pulls(ghost_globals_, partition);
 
   // Bytes-moved model of one local SPMV (sparse/bytes_model.hpp): matrix
   // structure streamed once, every owned/ghost x entry read at least once,

@@ -28,6 +28,8 @@ class Partition {
   std::size_t end(int rank) const { return offsets_[rank + 1]; }
   /// Rows owned by `rank`.
   std::size_t local_size(int rank) const { return end(rank) - begin(rank); }
+  /// [begin(rank), end(rank)) as one range.
+  par::RankRange range(int rank) const { return {begin(rank), end(rank)}; }
 
   /// Owner of global row `i` (binary search over offsets).
   int owner(std::size_t i) const;
